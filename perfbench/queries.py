@@ -1,7 +1,8 @@
 """The seeded read mix shared by the in-process and HTTP readers.
 
+The mix is a synthetic definition, not a model of any measured traffic.
 A read picks an edge uniformly at random, so its endpoints are drawn in
-proportion to their degree (hubs are read more, as in real traffic):
+proportion to their degree and hubs are read more often:
 
 * 50% ``community`` of one endpoint at the deepest level any of its
   edges reaches (its tightest community; at low k a hub's community is
@@ -11,10 +12,11 @@ proportion to their degree (hubs are read more, as in real traffic):
 * 15% ``hierarchy_path`` of the edge;
 * 20% a ``batch`` of four of the above.
 
+The shares were chosen for a steady median, not taken from a source:
 ``max_k`` and ``hierarchy_path`` answers are an order of magnitude
-cheaper than the other two, so they are kept under half of the mix: the
-median read then falls inside one mode of the latency distribution, not
-on the edge between two.
+cheaper than the other two, so they are kept under half of the mix, and
+the median read then falls inside one mode of the latency distribution,
+not on the edge between two.
 """
 
 import numpy as np

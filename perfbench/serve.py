@@ -22,6 +22,8 @@ connections, one thread each:
   ``scheduled`` (a debounced fallback rebuild);
 * the reader sends the seeded, degree-biased mix of :mod:`perfbench.queries`,
   never touching an edge the writer has deleted or is about to delete.
+  One reader keeps the figures steady (see README.md), so ``reads_per_s``
+  is close to the reciprocal of its mean latency.
 
 Writes and reads share the server's event loop: ``UpdateManager.apply``
 and the patch publish run on it synchronously.  At the end the served φ
@@ -29,6 +31,7 @@ must equal a fresh ``bit-bu-csr`` decomposition of the final edge set,
 and the final edge set must equal the initial one.
 """
 
+import bisect
 import http.client
 import itertools
 import json
@@ -51,12 +54,14 @@ from perfbench.tracer import summarize
 
 DATASET = "graph"
 #: Server launches per run; setup_s is their median time-to-ready.
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 #: Ops per write batch.
 WRITE_OPS = 8
 #: Every HUB_EVERY-th write pair touches hub edges (a fallback rebuild);
 #: the others touch edges whose endpoints both have degree 2..QUIET_DEGREE
-#: (repaired in place).
+#: (repaired in place).  One hub pair in HUB_EVERY pairs is the fallback
+#: share that plain uniform 8-edge pairs got on this graph in most runs
+#: (see README.md), made the same in every run.
 HUB_EVERY = 5
 QUIET_DEGREE = 8
 #: Hub pairs take turns over this many edges with the largest endpoint
@@ -67,7 +72,7 @@ POLL_S = 0.005
 READY_TIMEOUT_S = 120.0
 STOP_TIMEOUT_S = 60.0
 #: Static-pipeline passes over the served graph (median -> decompose_s).
-STATIC_OPS = 4
+STATIC_OPS = 6
 
 _SERVING = re.compile(rb"serving \d+ dataset\(s\) on http://[^:\s]+:(\d+)")
 
@@ -178,13 +183,17 @@ class Server:
 class Load:
     """The closed-loop reader and writer threads and what they observed."""
 
-    def __init__(self, port, seed, edge_upper, edge_lower, phi):
+    def __init__(self, port, seed, edge_upper, edge_lower, phi, on_cycle=None):
         self.port = port
         self.edge_upper = edge_upper
         self.edge_lower = edge_lower
         self.targets = queries.Targets(edge_upper, edge_lower, phi)
         self.read_rng = np.random.default_rng([seed, 1])
         self.write_rng = np.random.default_rng([seed, 2])
+        #: ``on_cycle()`` runs as the writer starts each cycle.
+        self.on_cycle = on_cycle
+        self.min_cycles = 1 if on_cycle is None else 2
+        self.cycle_starts = []
         self.lock = threading.Lock()
         self.busy = set()  # edge ids deleted, or about to be, or being read
         self.deadline = threading.Event()
@@ -231,6 +240,10 @@ class Load:
     def _fail(self, message):
         with self.lock:
             self.errors.append(message)
+
+    def cycle_of(self, moment):
+        """The writer cycle running at ``moment`` (-1 before the first)."""
+        return bisect.bisect_right(self.cycle_starts, moment) - 1
 
     def reader(self):
         client = Client(self.port)
@@ -301,8 +314,13 @@ class Load:
         serial = 0
         try:
             for pair in itertools.count():
-                if pair % HUB_EVERY == 0 and self.deadline.is_set():
-                    return
+                if pair % HUB_EVERY == 0:
+                    cycle = pair // HUB_EVERY
+                    if cycle >= self.min_cycles and self.deadline.is_set():
+                        return
+                    if self.on_cycle is not None:
+                        self.on_cycle()
+                    self.cycle_starts.append(time.perf_counter())
                 if pair % HUB_EVERY == HUB_EVERY - 1:
                     turn = (pair // HUB_EVERY) % (HUB_EDGES // WRITE_OPS)
                     eids = self._take(
@@ -326,21 +344,16 @@ class Load:
             self.stop.set()
             client.close()
 
-    def run(self, seconds, halfway=None):
+    def run(self, seconds):
         """Drive both loops for ``seconds`` plus the rest of the writer's
-        cycle; ``halfway()`` runs mid-way.  The reader stops with the
-        writer, so both cover the same whole cycles."""
+        cycle.  The reader stops with the writer, so both cover the same
+        whole cycles."""
         reader = threading.Thread(target=self.reader, name="reader")
         writer = threading.Thread(target=self.writer, name="writer")
         self.started = time.perf_counter()
         reader.start()
         writer.start()
-        if halfway is not None:
-            time.sleep(seconds / 2)
-            halfway()
-            time.sleep(seconds / 2)
-        else:
-            time.sleep(seconds)
+        time.sleep(seconds)
         self.deadline.set()
         writer.join()
         reader.join()
@@ -407,20 +420,16 @@ def run(workload, seed, seconds, trace, out_root):
                     server.stop()
 
         steal_start = hostinfo.cpu_ticks()
-        load = Load(server.port, seed, edge_upper, edge_lower, phi)
-        phases = {}
+        on_cycle = None
         if trace:
-            # Recording covered start-up; pause it for an untraced first
-            # half, resume for a traced second half.
-            server.proc.send_signal(signal.SIGUSR1)
-
-            def halfway():
-                phases["traced_from"] = time.perf_counter()
+            # Recording covered start-up.  SIGUSR1 toggles it: paused for
+            # writer cycle 0, then on for the odd cycles and off for the
+            # even ones, so traced and untraced load alternate.
+            def on_cycle():
                 server.proc.send_signal(signal.SIGUSR1)
 
-            load.run(seconds, halfway)
-        else:
-            load.run(seconds)
+        load = Load(server.port, seed, edge_upper, edge_lower, phi, on_cycle)
+        load.run(seconds)
         steal = hostinfo.steal_share(steal_start, hostinfo.cpu_ticks())
         final_metrics = _settle(server.port)
         server.stop()
@@ -485,9 +494,7 @@ def run(workload, seed, seconds, trace, out_root):
         "errors": errors[:5],
     }
     if trace:
-        metrics = _layer_metrics(
-            report, load, phases["traced_from"], final_metrics, scheduled
-        )
+        metrics = _layer_metrics(report, load, final_metrics, scheduled)
     else:
         metrics = {
             "setup_s": statistics.median(ready_times),
@@ -510,7 +517,7 @@ def run(workload, seed, seconds, trace, out_root):
     }
 
 
-def _layer_metrics(report, load, traced_from, final_metrics, scheduled):
+def _layer_metrics(report, load, final_metrics, scheduled):
     spans = report["spans"]
     calls, self_s, _coverage = summarize(spans)
     metrics = {
@@ -534,12 +541,16 @@ def _layer_metrics(report, load, traced_from, final_metrics, scheduled):
         1, coalescer.get("submitted", 0)
     )
 
+    def traced(start):
+        cycle = load.cycle_of(start)
+        return cycle > 0 and cycle % 2 == 1
+
     # Reads joined to the engine span they triggered, by trace id.
     by_trace = links["by_trace"]
     waits = [
         latency - by_trace[tid]
         for start, latency, tid in load.reads
-        if start >= traced_from and tid in by_trace
+        if traced(start) and tid in by_trace
     ]
     metrics["server.read_wait_s"] = statistics.median(waits) if waits else 0.0
     # Coverage: the share of traced client-op time during which a server
@@ -547,7 +558,7 @@ def _layer_metrics(report, load, traced_from, final_metrics, scheduled):
     windows = [
         (start, start + latency)
         for start, latency, *_rest in load.reads + load.writes
-        if start >= traced_from
+        if traced(start)
     ]
     roots = [
         (start / 1e9, end / 1e9)
@@ -557,9 +568,10 @@ def _layer_metrics(report, load, traced_from, final_metrics, scheduled):
     metrics["trace.coverage"] = _covered(windows, roots) / sum(
         end - start for start, end in windows
     )
-    # Overhead: incremental writes (the span-densest path) traced vs not.
+    # Overhead: incremental writes (the span-densest path) in the traced
+    # cycles against those in the untraced cycles between them.
     incremental = [
-        (start >= traced_from, latency)
+        (traced(start), latency)
         for start, latency, mode, _tid in load.writes
         if mode == "incremental"
     ]
