@@ -6,10 +6,13 @@ One op takes the workload's edge chunks through the whole pipeline:
     -> save_artifact(layout="dir") -> QueryEngine.load(mmap_mode="r")
                                                                  (index_s)
 
-Ops repeat until the run's time is up (at least ``MIN_OPS``); the reported
-times are medians over ops.  Every op's φ must equal a dict ``bit-bu++``
-reference computed once per run, after the timed ops, and the mmap-loaded
-φ must equal the in-memory one.
+Ops repeat until the run's time is up (at least ``MIN_OPS``).  A host
+speed probe runs before the first op and after every stage of every op
+(after every op in a traced run), and each stage's times are scaled by the
+probes on either side of it (:mod:`perfbench.hostinfo`); the reported
+times are medians of the scaled samples.  Every op's φ must equal a dict ``bit-bu++`` reference computed
+once per run, after the timed ops, and the mmap-loaded φ must equal the
+in-memory one.
 """
 
 import os
@@ -25,7 +28,7 @@ from perfbench.layers import LAYERS, SPAN_METRICS, QueryLinks, core_targets
 from perfbench.tracer import Tracer, summarize
 
 #: Fewest ops a run makes, even past its time budget.
-MIN_OPS = 3
+MIN_OPS = 5
 #: Times the set-up (input generation) is repeated; its median is setup_s.
 SETUP_REPEATS = 9
 #: Reads made against each op's freshly loaded index, READ_GROUP to a call.
@@ -33,35 +36,50 @@ SETUP_REPEATS = 9
 #: a cheap ``max_k`` or an output-linear community of any size, and the
 #: median of that mix moved by 30-40% between runs, of single reads and of
 #: groups of four alike.
-READS_PER_OP = 400
+READS_PER_OP = 200
 READ_GROUP = 8
-#: ``save_artifact`` calls per op beyond the one inside ``index_s``.  A
-#: save takes milliseconds, so many are made: with three, the write
-#: metrics rested on 12-20 samples per run and spread by up to 0.26.
-EXTRA_WRITES = 15
+#: Compressed single-file saves (``save_artifact(layout="npz")``) per op,
+#: the write samples.  A ``layout="dir"`` save takes about a millisecond of
+#: file-system calls, and its median moved by up to 50% from one block of
+#: 60 saves to the next with the host otherwise steady; the compressed
+#: save spends its time in the CPU and held within 5%.
+WRITES_PER_OP = 2
 
 
-def pipeline_op(chunks, shape, workdir, graph_io, artifacts, engine_cls, reads):
-    """One pipeline pass, then reads and extra writes on its index.
+def pipeline_op(chunks, shape, workdir, graph_io, artifacts, engine_cls, reads,
+                writes=WRITES_PER_OP, probes=None):
+    """One pipeline pass, then reads and ``writes`` saves of its index.
 
-    Returns a dict with ``decompose_s``, ``index_s``, ``write_s`` (each
-    ``save_artifact``), ``read_s`` (each call answering a group of reads),
-    ``phi`` and ``error``.
+    Returns a dict with ``start`` and ``decompose_s``, ``load_start`` and
+    ``load_s`` (save plus load; ``index_s`` is the sum of the two stages),
+    ``read_s`` and ``write_s`` (``(start, seconds)`` of each call answering
+    a group of reads and of each compressed save), ``phi`` and ``error``.
+    With ``probes``, a probe follows every stage, so each stage sits between
+    two probes when the caller has taken one just before the op.
     """
+
+    def probe():
+        if probes is not None:
+            probes.take()
+
     start = time.perf_counter()
     graph = graph_io.edges_to_csr_chunked(
         chunks, num_upper=shape["upper"], num_lower=shape["lower"]
     )
     artifact = artifacts.build_artifact(graph, "bit-bu-csr")
     decomposed = time.perf_counter()
+    probe()
+    load_start = time.perf_counter()
     artifacts.save_artifact(artifact, workdir, layout="dir")
-    saved = time.perf_counter()
     engine = engine_cls.load(workdir, mmap_mode="r")
     loaded = time.perf_counter()
+    probe()
     result = {
+        "start": start,
         "decompose_s": decomposed - start,
-        "index_s": loaded - start,
-        "write_s": [saved - decomposed],
+        "load_start": load_start,
+        "load_s": loaded - load_start,
+        "write_s": [],
         "read_s": [],
         "phi": np.array(artifact.phi),
         "error": None,
@@ -73,18 +91,50 @@ def pipeline_op(chunks, shape, workdir, graph_io, artifacts, engine_cls, reads):
     # the host's page cache rather than the program.
     for array in (*engine.graph.csr_upper(), *engine.graph.csr_lower(), engine.phi):
         np.asarray(array).sum()
-    for batch in reads(engine.graph, result["phi"]):
+    batches = list(reads(engine.graph, result["phi"]))
+    for batch in batches:
         begin = time.perf_counter()
         engine.batch(batch)
-        result["read_s"].append(time.perf_counter() - begin)
+        result["read_s"].append((begin, time.perf_counter() - begin))
     del engine
     shutil.rmtree(workdir)
-    for _ in range(EXTRA_WRITES):
+    if batches and writes:
+        probe()
+    for _ in range(writes):
         begin = time.perf_counter()
-        artifacts.save_artifact(artifact, workdir, layout="dir")
-        result["write_s"].append(time.perf_counter() - begin)
-        shutil.rmtree(workdir)
+        artifacts.save_artifact(artifact, f"{workdir}.npz", layout="npz")
+        result["write_s"].append((begin, time.perf_counter() - begin))
+        os.remove(f"{workdir}.npz")
+    if writes:
+        probe()
     return result
+
+
+def draw_reads(graph, phi, rng, pick_edge, calls):
+    """``calls`` groups of READ_GROUP reads of the mix on ``graph``."""
+    targets = queries.Targets(graph.edge_upper, graph.edge_lower, phi)
+    return [
+        [
+            query
+            for _ in range(READ_GROUP)
+            for query in queries.next_read(rng, targets, pick_edge)[1]
+        ]
+        for _ in range(calls)
+    ]
+
+
+def scaled_times(op, probes):
+    """An op's times, each stage scaled by the probes around it: the
+    pipeline by the ``python`` kernel, reads and compressed saves by
+    ``zlib``, the kernels whose readings their raw times followed."""
+    factor = probes.factor
+    decompose_s = op["decompose_s"] * factor(op["start"])
+    return {
+        "decompose_s": decompose_s,
+        "index_s": decompose_s + op["load_s"] * factor(op["load_start"]),
+        "read_s": [t * factor(start, "zlib") for start, t in op["read_s"]],
+        "write_s": [t * factor(start, "zlib") for start, t in op["write_s"]],
+    }
 
 
 def run(workload, seed, seconds, trace, out_root):
@@ -94,13 +144,18 @@ def run(workload, seed, seconds, trace, out_root):
     from repro.service import artifacts
     from repro.service.engine import QueryEngine
 
+    # One CPU for the whole run, so the probes see the CPU the ops run on.
+    cpu = hostinfo.cpus()[0]
+    hostinfo.pin(cpu)
     baseline_rss = hostinfo.peak_rss_bytes()
     shape = inputs.SHAPES[workload]
     tracer = Tracer() if trace else None
     links = QueryLinks()
 
-    # Set-up: generate the edge chunks several times; setup_s is the median.
-    setup_times = []
+    # Set-up: generate the edge chunks several times, each between two
+    # probes; setup_s is the median of the scaled times.
+    probes = hostinfo.Probes(cpu)
+    setup_times = []  # (start, seconds)
     generate_times = []
 
     def timed_generator(*args, **kwargs):
@@ -109,34 +164,55 @@ def run(workload, seed, seconds, trace, out_root):
         generate_times.append(time.perf_counter() - begin)
         return chunks
 
+    probes.take()
     for _ in range(SETUP_REPEATS):
         start = time.perf_counter()
-        chunks = inputs.make_chunks(timed_generator, shape, seed)
-        setup_times.append(time.perf_counter() - start)
+        chunks, logical = inputs.make_chunks(timed_generator, shape, seed)
+        setup_times.append((start, time.perf_counter() - start))
+        probes.take()
 
-    rng = np.random.default_rng(seed)
+    read_batches = []
 
     def reads(graph, phi):
+        """The same reads for every op and every seed: drawn once from the
+        shape's logical edges and named with this seed's labels.  Reads
+        drawn afresh per seed moved the run's median by up to 0.3, because
+        read costs range over two orders of magnitude."""
+        if not read_batches:
+            eid_of = {
+                pair: eid
+                for eid, pair in enumerate(
+                    zip(graph.edge_upper.tolist(), graph.edge_lower.tolist())
+                )
+            }
+
+            def pick_edge(rng):
+                u, v = logical[int(rng.integers(len(logical)))]
+                return eid_of[int(u), int(v)]
+
+            rng = np.random.default_rng([shape["shape_seed"], 1])
+            read_batches.extend(
+                draw_reads(graph, phi, rng, pick_edge, READS_PER_OP // READ_GROUP)
+            )
+        return read_batches
+
+    def warm_reads(graph, phi):
         def pick_edge(rng):
             return int(rng.integers(graph.num_edges))
 
-        targets = queries.Targets(graph.edge_upper, graph.edge_lower, phi)
-        for _ in range(READS_PER_OP // READ_GROUP):
-            yield [
-                query
-                for _ in range(READ_GROUP)
-                for query in queries.next_read(rng, targets, pick_edge)[1]
-            ]
+        return draw_reads(graph, phi, np.random.default_rng(0), pick_edge, 4)
 
     work = tempfile.mkdtemp(prefix=f"{workload}-", dir=out_root)
     try:
         # Warm-up on a small slice: imports, first-call paths, page cache.
         pipeline_op(
             [chunks[0][:2000]], {"upper": None, "lower": None},
-            os.path.join(work, "warm"), graph_io, artifacts, QueryEngine, reads,
+            os.path.join(work, "warm"), graph_io, artifacts, QueryEngine,
+            warm_reads,
         )
 
         steal_start = hostinfo.cpu_ticks()
+        probes.take()
         ops = []
         traced_decompose, untraced_decompose = [], []
         per_op_layers = []
@@ -152,9 +228,12 @@ def run(workload, seed, seconds, trace, out_root):
                 counts_before = dict(tracer.counts)
                 root = tracer.begin("bench.op")
             try:
+                # A traced run probes between ops only, to keep the probe
+                # out of the traced op's root span.
                 op = pipeline_op(
                     chunks, shape, os.path.join(work, f"op{len(ops)}"),
                     graph_io, artifacts, QueryEngine, reads,
+                    probes=None if trace else probes,
                 )
             except Exception as exc:  # noqa: BLE001 - counted as a failed op
                 op = {"error": f"{type(exc).__name__}: {exc}"}
@@ -162,17 +241,22 @@ def run(workload, seed, seconds, trace, out_root):
                 if traced:
                     tracer.end(root)
                     tracer.uninstall()
+            if trace or "decompose_s" not in op:
+                probes.take()
             if traced:
                 per_op_layers.append(
                     _op_layers(tracer, first_span, counts_before)
                 )
             if "decompose_s" in op:
                 (traced_decompose if traced else untraced_decompose).append(
-                    op["decompose_s"]
+                    op["decompose_s"] * probes.factor(op["start"])
                 )
             ops.append(op)
+            if len(ops) == MIN_OPS:
+                # Over a fixed number of ops: the peak crept up with the
+                # number of ops, which follows the host's speed.
+                peak_rss = hostinfo.peak_rss_bytes() - baseline_rss
         steal = hostinfo.steal_share(steal_start, hostinfo.cpu_ticks())
-        peak_rss = hostinfo.peak_rss_bytes() - baseline_rss
 
         # Reference: the paper's dict BE-Index with BiT-BU++, once per run,
         # outside every timed window.
@@ -188,16 +272,28 @@ def run(workload, seed, seconds, trace, out_root):
 
     done = [op for op in ops if "decompose_s" in op]
     errors = [op["error"] for op in ops if op["error"] is not None]
-    decompose_times = [op["decompose_s"] for op in done]
-    read_s = [t for op in done for t in op["read_s"]]
-    write_s = [t for op in done for t in op["write_s"]]
+    raw_decompose = [op["decompose_s"] for op in done]
+    scaled = [scaled_times(op, probes) for op in done]
+    decompose_times = [op["decompose_s"] for op in scaled]
+    read_s = [t for op in scaled for t in op["read_s"]]
+    write_s = [t for op in scaled for t in op["write_s"]]
+    # Generating the chunks is numpy work, which slows like the zlib
+    # kernel, not like the interpreter.
+    setup_s = [t * probes.factor(start, "zlib") for start, t in setup_times]
     diagnostics = {
         "ops": len(ops),
-        "op_decompose_s": decompose_times,
-        "op_spread": hostinfo.spread(decompose_times),
+        "op_decompose_s": raw_decompose,
+        "op_factor": [probes.factor(op["start"]) for op in done],
+        "op_spread": hostinfo.spread(raw_decompose),
+        "op_spread_scaled": hostinfo.spread(decompose_times),
+        "raw_decompose_s": statistics.median(raw_decompose) if done else None,
+        "raw_read_p50_s": statistics.median(
+            t for op in done for _start, t in op["read_s"]
+        ) if done else None,
+        "probe": hostinfo.probe_summary(probes),
         "read_quantiles_s": hostinfo.tail(read_s),
         "steal_share": steal,
-        "setup_repeats_s": setup_times,
+        "setup_repeats_s": [t for _start, t in setup_times],
         "errors": errors[:5],
     }
     if trace:
@@ -209,11 +305,11 @@ def run(workload, seed, seconds, trace, out_root):
         metrics["service.cache_hit_ratio"] = links.hit_ratio()
     elif done:
         metrics = {
-            "setup_s": statistics.median(setup_times),
+            "setup_s": statistics.median(setup_s),
             "decompose_s": statistics.median(decompose_times),
-            "index_s": statistics.median(op["index_s"] for op in done),
-            **latency_metrics("read", read_s, 95, READ_GROUP),
-            **latency_metrics("write", write_s, 90, 1),
+            "index_s": statistics.median(op["index_s"] for op in scaled),
+            "read_p50_s": statistics.median(read_s),
+            "write_p50_s": statistics.median(write_s),
             "peak_rss_bytes": peak_rss,
         }
     else:
@@ -224,21 +320,6 @@ def run(workload, seed, seconds, trace, out_root):
         "failed": len(errors),
         "metrics": metrics,
         "diagnostics": diagnostics,
-    }
-
-
-def percentile(samples, pct):
-    return statistics.quantiles(samples, n=100, method="inclusive")[pct - 1]
-
-
-def latency_metrics(kind, samples, tail, per_sample):
-    """``{kind}_p50_s``, ``{kind}_p{tail}_s`` and ``{kind}s_per_s`` for a
-    closed loop of one client: each sample timed ``per_sample`` items, and
-    throughput is items over busy time."""
-    return {
-        f"{kind}_p50_s": statistics.median(samples),
-        f"{kind}_p{tail}_s": percentile(samples, tail),
-        f"{kind}s_per_s": per_sample * len(samples) / sum(samples),
     }
 
 

@@ -21,13 +21,13 @@ SHAPES = {
     # Few butterflies: the per-vertex wedge traversal (BE-Index build)
     # dominates the decomposition.
     "decompose-sparse": dict(
-        edges=200_000, upper=100_000, lower=100_000,
+        edges=40_000, upper=20_000, lower=20_000,
         exp_upper=2.5, exp_lower=2.5, shape_seed=7,
     ),
     # Hub-heavy (the paper's Fig. 7 regime): millions of butterflies and a
     # deep k hierarchy, so bottom-up peeling dominates.
     "decompose-skew": dict(
-        edges=60_000, upper=1_500, lower=30_000,
+        edges=20_000, upper=500, lower=10_000,
         exp_upper=2.1, exp_lower=2.5, shape_seed=7,
     ),
     # The served, mutated graph.
@@ -41,7 +41,10 @@ CHUNK_EDGES = 1 << 16
 
 
 def make_chunks(chung_lu_edge_chunks, shape, seed):
-    """The workload's edge chunks for ``seed``: a list of ``(n, 2)`` arrays.
+    """The workload's edge chunks for ``seed``, a list of ``(n, 2)``
+    arrays, and its logical edges: the ``(upper, lower)`` labels, under
+    this seed's relabelling, of the shape's edges in the shape's own
+    order, so the same row names the same edge for every seed.
 
     ``chung_lu_edge_chunks`` is passed in so a traced run can time the
     program's generator through its wrapper.
@@ -61,11 +64,10 @@ def make_chunks(chung_lu_edge_chunks, shape, seed):
     rng = np.random.default_rng(seed)
     perm_upper = rng.permutation(shape["upper"])
     perm_lower = rng.permutation(shape["lower"])
-    edges = edges[rng.permutation(len(edges))]
-    relabeled = np.stack(
-        (perm_upper[edges[:, 0]], perm_lower[edges[:, 1]]), axis=1
-    )
-    return [
+    logical = np.stack((perm_upper[edges[:, 0]], perm_lower[edges[:, 1]]), axis=1)
+    relabeled = logical[rng.permutation(len(edges))]
+    chunks = [
         relabeled[start : start + CHUNK_EDGES]
         for start in range(0, len(relabeled), CHUNK_EDGES)
     ]
+    return chunks, logical

@@ -1,11 +1,12 @@
 """Run ``python -m repro serve`` in this process, with bench-owned hooks.
 
-    python3 perfbench/launcher.py --out DIR [--trace] -- SERVE_ARGS...
+    python3 perfbench/launcher.py --out DIR [--trace] [--cpu N] -- SERVE_ARGS...
 
 The hooks never change what the server does.  One wrapper remembers the
 ``UpdateManager`` so the served φ can be written out at shutdown; with
 ``--trace`` the layer wrappers of :mod:`perfbench.layers` are installed
 before the server starts, and ``SIGUSR1`` pauses or resumes recording.
+``--cpu`` keeps the server (every thread it starts) on one CPU.
 On exit (``SIGINT`` stops the server) ``DIR/server.json`` gets the peak
 RSS over the post-import baseline, the update counters, and any spans;
 ``DIR/served.npz`` gets the served edge list and φ.
@@ -24,16 +25,21 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True)
     parser.add_argument("--trace", action="store_true")
+    parser.add_argument("--cpu", type=int)
     parser.add_argument("serve_args", nargs=argparse.REMAINDER)
     args = parser.parse_args(argv)
     serve_args = args.serve_args
     if serve_args and serve_args[0] == "--":
         serve_args = serve_args[1:]
 
+    from perfbench import hostinfo
+
+    if args.cpu is not None:
+        hostinfo.pin(args.cpu)
+
     from repro import cli
     from repro.server.updates import UpdateManager
 
-    from perfbench import hostinfo
     from perfbench.layers import QueryLinks, server_targets
     from perfbench.tracer import Tracer
 

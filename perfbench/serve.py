@@ -9,26 +9,30 @@ time-to-ready (spawn until the first ``/healthz`` 200) over
 launches the served graph also goes ``STATIC_OPS`` times through the
 static pipeline of :mod:`perfbench.decompose`; their medians are this
 workload's ``decompose_s`` and ``index_s``, the cost of one full rebuild
-of the served graph.
+of the served graph.  Every launch, pass and write pair sits between two
+host speed probes, and every time is scaled by them
+(:mod:`perfbench.hostinfo`).  The server runs pinned to one CPU and this
+process to another; the probes of server-side work run on the server's.
 
-The load is a closed loop from this one process on two keep-alive
-connections, one thread each:
+The load is a closed loop from this one thread on two keep-alive
+connections, one for writes and one for reads, taking turns:
 
-* the writer POSTs seeded 8-op ``/edges`` batches: one batch deletes 8
-  edges, the next reinserts them, so the graph is the same after every
-  pair.  A write is timed from sending the POST until the batch is
-  visible: at its response when the server answers ``incremental``, or at
-  the first ``/datasets`` poll that shows ``stale: false`` when it answers
+* writes are seeded 8-op ``/edges`` batches: one batch deletes 8 edges,
+  the next reinserts them, so the graph is the same after every pair.  A
+  write is timed from sending the POST until the batch is visible: at its
+  response when the server answers ``incremental``, or at the first
+  ``/datasets`` poll that shows ``stale: false`` when it answers
   ``scheduled`` (a debounced fallback rebuild);
-* the reader sends the seeded, degree-biased mix of :mod:`perfbench.queries`,
-  never touching an edge the writer has deleted or is about to delete.
-  One reader keeps the figures steady (see README.md), so ``reads_per_s``
-  is close to the reciprocal of its mean latency.
+* ``READS_PER_WRITE`` reads of the seeded, degree-biased mix of
+  :mod:`perfbench.queries` follow every write, never touching an edge
+  that is deleted at the time.
 
-Writes and reads share the server's event loop: ``UpdateManager.apply``
-and the patch publish run on it synchronously.  At the end the served φ
-must equal a fresh ``bit-bu-csr`` decomposition of the final edge set,
-and the final edge set must equal the initial one.
+Reads and writes never overlap: run concurrently, a read's latency was
+mostly its wait for the interpreter lock behind the server's write work,
+which follows the lock's switch interval, not the program or the host.
+
+At the end the served φ must equal a fresh ``bit-bu-csr`` decomposition
+of the final edge set, and the final edge set must equal the initial one.
 """
 
 import bisect
@@ -43,7 +47,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 
 import numpy as np
@@ -68,11 +71,13 @@ QUIET_DEGREE = 8
 #: degree sums, WRITE_OPS at a time, so every run removes the same hub
 #: edges (up to relabelling) and its fallbacks cost the same.
 HUB_EDGES = 64
+#: Reads made after every write, while no write is in flight.
+READS_PER_WRITE = 20
 POLL_S = 0.005
 READY_TIMEOUT_S = 120.0
 STOP_TIMEOUT_S = 60.0
 #: Static-pipeline passes over the served graph (median -> decompose_s).
-STATIC_OPS = 6
+STATIC_OPS = 8
 
 _SERVING = re.compile(rb"serving \d+ dataset\(s\) on http://[^:\s]+:(\d+)")
 
@@ -111,7 +116,7 @@ class Client:
 class Server:
     """One launched server process and its output directory."""
 
-    def __init__(self, artifact_dir, out_dir, trace):
+    def __init__(self, artifact_dir, out_dir, trace, cpu):
         os.makedirs(out_dir)
         self.out_dir = out_dir
         self.log_path = os.path.join(out_dir, "server.log")
@@ -119,6 +124,8 @@ class Server:
         command = [sys.executable, launcher, "--out", out_dir]
         if trace:
             command.append("--trace")
+        if cpu is not None:
+            command += ["--cpu", str(cpu)]
         command += [
             "--", "--artifact", f"{DATASET}={artifact_dir}", "--mmap",
             "--mutable", "--host", "127.0.0.1", "--port", "0",
@@ -181,27 +188,28 @@ class Server:
 
 
 class Load:
-    """The closed-loop reader and writer threads and what they observed."""
+    """The closed loop and what it observed: one thread, two keep-alive
+    connections (one for writes, one for reads), taking turns."""
 
-    def __init__(self, port, seed, edge_upper, edge_lower, phi, on_cycle=None):
+    def __init__(self, port, seed, edge_upper, edge_lower, phi, probes,
+                 on_cycle=None):
         self.port = port
+        self.probes = probes
         self.edge_upper = edge_upper
         self.edge_lower = edge_lower
         self.targets = queries.Targets(edge_upper, edge_lower, phi)
         self.read_rng = np.random.default_rng([seed, 1])
         self.write_rng = np.random.default_rng([seed, 2])
-        #: ``on_cycle()`` runs as the writer starts each cycle.
+        #: ``on_cycle()`` runs as each writer cycle starts.
         self.on_cycle = on_cycle
         self.min_cycles = 1 if on_cycle is None else 2
         self.cycle_starts = []
-        self.lock = threading.Lock()
-        self.busy = set()  # edge ids deleted, or about to be, or being read
-        self.deadline = threading.Event()
-        self.stop = threading.Event()
+        self.deleted = set()  # edge ids the last write deleted
         self.reads = []  # (start, latency, trace id)
         self.writes = []  # (start, latency, mode, trace id)
         self.errors = []
         self.attempted = 0
+        self.serial = 0
         deg_upper = np.bincount(edge_upper)[edge_upper]
         deg_lower = np.bincount(edge_lower)[edge_lower]
         tie_break = self.write_rng.permutation(len(edge_upper))
@@ -211,79 +219,44 @@ class Load:
             & (np.maximum(deg_upper, deg_lower) <= QUIET_DEGREE)
         )
 
-    def _claim(self, rng, pool=None):
-        """An edge id nobody else is using; the caller must release it."""
-        while True:
-            if pool is None:
-                eid = int(rng.integers(len(self.edge_upper)))
-            else:
-                eid = int(pool[rng.integers(len(pool))])
-            with self.lock:
-                if eid not in self.busy:
-                    self.busy.add(eid)
-                    return eid
-
-    def _take(self, eids):
-        """Claim the given edge ids once no read is using them."""
-        eids = {int(e) for e in eids}
-        while True:
-            with self.lock:
-                if not self.busy & eids:
-                    self.busy |= eids
-                    return sorted(eids)
-            time.sleep(POLL_S)
-
-    def _count(self):
-        with self.lock:
-            self.attempted += 1
-
-    def _fail(self, message):
-        with self.lock:
-            self.errors.append(message)
-
     def cycle_of(self, moment):
         """The writer cycle running at ``moment`` (-1 before the first)."""
         return bisect.bisect_right(self.cycle_starts, moment) - 1
 
-    def reader(self):
-        client = Client(self.port)
-        serial = 0
+    def _trace_id(self, prefix):
+        self.serial += 1
+        return f"{prefix}{self.serial:015x}"
+
+    def _read(self, client):
+        def pick(rng):
+            while True:
+                eid = int(rng.integers(len(self.edge_upper)))
+                if eid not in self.deleted:
+                    return eid
+
+        kind, batch = queries.next_read(self.read_rng, self.targets, pick)
+        method, path, body = queries.http_request(DATASET, kind, batch)
+        trace_id = self._trace_id("a")
+        self.attempted += 1
+        start = time.perf_counter()
         try:
-            while not self.stop.is_set():
-                claimed = []
+            status, _reply = client.call(method, path, body, trace_id)
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            self.errors.append(f"read {path}: {type(exc).__name__}: {exc}")
+            return
+        latency = time.perf_counter() - start
+        if 200 <= status < 300:
+            self.reads.append((start, latency, trace_id))
+        else:
+            self.errors.append(f"read {path}: HTTP {status}")
 
-                def pick(rng):
-                    claimed.append(self._claim(rng))
-                    return claimed[-1]
-
-                kind, batch = queries.next_read(self.read_rng, self.targets, pick)
-                method, path, body = queries.http_request(DATASET, kind, batch)
-                trace_id = f"a{serial:015x}"
-                serial += 1
-                self._count()
-                start = time.perf_counter()
-                try:
-                    status, _reply = client.call(method, path, body, trace_id)
-                except (OSError, http.client.HTTPException, ValueError) as exc:
-                    self._fail(f"read {path}: {type(exc).__name__}: {exc}")
-                    continue
-                finally:
-                    with self.lock:
-                        self.busy.difference_update(claimed)
-                latency = time.perf_counter() - start
-                if 200 <= status < 300:
-                    self.reads.append((start, latency, trace_id))
-                else:
-                    self._fail(f"read {path}: HTTP {status}")
-        finally:
-            client.close()
-
-    def _write(self, client, kind, eids, trace_id):
+    def _write(self, client, kind, eids):
         ops = [
             {"op": kind, "u": int(self.edge_upper[e]), "v": int(self.edge_lower[e])}
             for e in eids
         ]
-        self._count()
+        trace_id = self._trace_id("b")
+        self.attempted += 1
         start = time.perf_counter()
         try:
             status, reply = client.call(
@@ -303,61 +276,50 @@ class Load:
                         break
                     time.sleep(POLL_S)
         except (OSError, http.client.HTTPException, ValueError, RuntimeError) as exc:
-            self._fail(f"{kind} batch: {type(exc).__name__}: {exc}")
+            self.errors.append(f"{kind} batch: {type(exc).__name__}: {exc}")
             return False
         self.writes.append((start, time.perf_counter() - start, mode, trace_id))
         return True
 
-    def writer(self):
-        """Whole cycles of HUB_EVERY pairs, until the deadline has passed."""
-        client = Client(self.port)
-        serial = 0
+    def run(self, seconds):
+        """Whole cycles of HUB_EVERY write pairs, until ``seconds`` have
+        passed; READS_PER_WRITE reads follow every write.  A probe of the
+        server's CPU starts every pair, while the server has nothing in
+        flight."""
+        writer, reader = Client(self.port), Client(self.port)
+        deadline = time.perf_counter() + seconds
         try:
             for pair in itertools.count():
                 if pair % HUB_EVERY == 0:
                     cycle = pair // HUB_EVERY
-                    if cycle >= self.min_cycles and self.deadline.is_set():
+                    if cycle >= self.min_cycles and time.perf_counter() >= deadline:
                         return
                     if self.on_cycle is not None:
                         self.on_cycle()
                     self.cycle_starts.append(time.perf_counter())
+                self.probes.take()
                 if pair % HUB_EVERY == HUB_EVERY - 1:
                     turn = (pair // HUB_EVERY) % (HUB_EDGES // WRITE_OPS)
-                    eids = self._take(
-                        self.hub_edges[turn * WRITE_OPS:(turn + 1) * WRITE_OPS]
-                    )
+                    eids = self.hub_edges[turn * WRITE_OPS:(turn + 1) * WRITE_OPS]
                 else:
-                    eids = [
-                        self._claim(self.write_rng, self.quiet_edges)
-                        for _ in range(WRITE_OPS)
-                    ]
+                    eids = self.write_rng.choice(
+                        self.quiet_edges, WRITE_OPS, replace=False
+                    )
                 for kind in ("delete", "insert"):
-                    trace_id = f"b{serial:015x}"
-                    serial += 1
-                    if not self._write(client, kind, eids, trace_id):
+                    if not self._write(writer, kind, eids):
                         # The graph may now differ from the initial one;
                         # stop, and let the final checks report it.
                         return
-                with self.lock:
-                    self.busy.difference_update(eids)
+                    if kind == "delete":
+                        self.deleted = {int(e) for e in eids}
+                    else:
+                        self.deleted = set()
+                    for _ in range(READS_PER_WRITE):
+                        self._read(reader)
         finally:
-            self.stop.set()
-            client.close()
-
-    def run(self, seconds):
-        """Drive both loops for ``seconds`` plus the rest of the writer's
-        cycle.  The reader stops with the writer, so both cover the same
-        whole cycles."""
-        reader = threading.Thread(target=self.reader, name="reader")
-        writer = threading.Thread(target=self.writer, name="writer")
-        self.started = time.perf_counter()
-        reader.start()
-        writer.start()
-        time.sleep(seconds)
-        self.deadline.set()
-        writer.join()
-        reader.join()
-        self.elapsed = time.perf_counter() - self.started
+            self.probes.take()
+            writer.close()
+            reader.close()
 
 
 def _settle(port):
@@ -384,11 +346,19 @@ def run(workload, seed, seconds, trace, out_root):
     from repro.service.engine import QueryEngine
 
     shape = inputs.SHAPES[workload]
+    # The server on one CPU, this process (its reader and writer threads
+    # too) on another, so each side's probes see the CPU its work runs on.
+    cpus = hostinfo.cpus()
+    client_cpu, server_cpu = (cpus[0], cpus[-1]) if len(cpus) > 1 else (None, None)
+    if client_cpu is not None:
+        hostinfo.pin(client_cpu)
     work = tempfile.mkdtemp(prefix=f"{workload}-", dir=out_root)
     servers = []
     try:
         # Untimed set-up: the served artifact on disk.
-        chunks = inputs.make_chunks(generators.chung_lu_edge_chunks, shape, seed)
+        chunks, _logical = inputs.make_chunks(
+            generators.chung_lu_edge_chunks, shape, seed
+        )
         graph = graph_io.edges_to_csr_chunked(
             chunks, num_upper=shape["upper"], num_lower=shape["lower"]
         )
@@ -405,17 +375,26 @@ def run(workload, seed, seconds, trace, out_root):
         # slow spell of the host does not land on one metric alone.
         static_ops = 0 if trace else STATIC_OPS
         launches = 1 if trace else SETUP_REPEATS
-        static, ready_times = [], []
+        static, ready_times = [], []  # ready_times: (start, seconds)
+        client_probes = hostinfo.Probes(client_cpu)
+        probes = hostinfo.Probes(server_cpu)
         for step in range(max(static_ops, launches)):
             if step < static_ops:
+                client_probes.take()
                 static.append(decompose.pipeline_op(
                     chunks, shape, os.path.join(work, f"static{step}"),
-                    graph_io, artifacts, QueryEngine, lambda graph, phi: (),
+                    graph_io, artifacts, QueryEngine, lambda graph, phi: (), 0,
+                    client_probes,
                 ))
             if step >= max(static_ops, launches) - launches:
-                server = Server(artifact_dir, os.path.join(work, f"server{step}"), trace)
+                probes.take()
+                server = Server(
+                    artifact_dir, os.path.join(work, f"server{step}"), trace,
+                    server_cpu,
+                )
                 servers.append(server)
-                ready_times.append(server.wait_ready())
+                ready_times.append((server.started, server.wait_ready()))
+                probes.take()
                 if len(ready_times) < launches:
                     server.stop()
 
@@ -428,7 +407,7 @@ def run(workload, seed, seconds, trace, out_root):
             def on_cycle():
                 server.proc.send_signal(signal.SIGUSR1)
 
-        load = Load(server.port, seed, edge_upper, edge_lower, phi, on_cycle)
+        load = Load(server.port, seed, edge_upper, edge_lower, phi, probes, on_cycle)
         load.run(seconds)
         steal = hostinfo.steal_share(steal_start, hostinfo.cpu_ticks())
         final_metrics = _settle(server.port)
@@ -457,7 +436,7 @@ def run(workload, seed, seconds, trace, out_root):
         final_chunks = [np.stack((final_upper, final_lower), axis=1)]
         verify = decompose.pipeline_op(
             final_chunks, shape, os.path.join(work, "verify"),
-            graph_io, artifacts, QueryEngine, lambda graph, phi: (),
+            graph_io, artifacts, QueryEngine, lambda graph, phi: (), 0,
         )
         for op in static + [verify]:
             if op["error"] is not None:
@@ -474,21 +453,33 @@ def run(workload, seed, seconds, trace, out_root):
         shutil.rmtree(work, ignore_errors=True)
 
     errors = load.errors + checks
-    read_s = [latency for _start, latency, _tid in load.reads]
-    write_s = [latency for _start, latency, _mode, _tid in load.writes]
+    factor = probes.factor
+    static_s = [decompose.scaled_times(op, client_probes) for op in static]
+    # Served reads and writes slow like the zlib kernel on the server's
+    # CPU: over 30 runs their raw medians grew with its reading at log-log
+    # slopes of 1.07 and 1.17, and with the python kernel's at 0.5-0.6.
+    read_s = [lat * factor(start, "zlib") for start, lat, _tid in load.reads]
+    write_s = [lat * factor(start, "zlib") for start, lat, _m, _t in load.writes]
     scheduled = sum(mode == "scheduled" for _s, _l, mode, _t in load.writes)
+    raw_writes = [latency for _start, latency, _mode, _tid in load.writes]
     diagnostics = {
         "reads": len(read_s),
         "writes": len(write_s),
         "scheduled_writes": scheduled,
+        "probe": hostinfo.probe_summary(probes),
+        "client_probe": hostinfo.probe_summary(client_probes),
         "read_quantiles_s": hostinfo.tail(read_s),
         "write_s_by_mode": {
             mode: sorted(lat for _s, lat, m, _t in load.writes if m == mode)
             for mode in ("incremental", "scheduled")
         },
-        "op_spread": hostinfo.spread(write_s),
+        "op_spread": hostinfo.spread(raw_writes),
+        "op_spread_scaled": hostinfo.spread(write_s),
+        "raw_read_p50_s": statistics.median(lat for _s, lat, _t in load.reads)
+        if load.reads else None,
+        "raw_write_p50_s": statistics.median(raw_writes) if raw_writes else None,
         "steal_share": steal,
-        "ready_s": ready_times,
+        "ready_s": [seconds for _start, seconds in ready_times],
         "static_decompose_s": [op["decompose_s"] for op in static],
         "updates": report.get("updates"),
         "errors": errors[:5],
@@ -497,15 +488,13 @@ def run(workload, seed, seconds, trace, out_root):
         metrics = _layer_metrics(report, load, final_metrics, scheduled)
     else:
         metrics = {
-            "setup_s": statistics.median(ready_times),
-            "decompose_s": statistics.median(op["decompose_s"] for op in static),
-            "index_s": statistics.median(op["index_s"] for op in static),
+            "setup_s": statistics.median(
+                seconds * factor(start) for start, seconds in ready_times
+            ),
+            "decompose_s": statistics.median(op["decompose_s"] for op in static_s),
+            "index_s": statistics.median(op["index_s"] for op in static_s),
             "read_p50_s": statistics.median(read_s),
-            "read_p95_s": decompose.percentile(read_s, 95),
-            "reads_per_s": len(read_s) / load.elapsed,
             "write_p50_s": statistics.median(write_s),
-            "write_p90_s": decompose.percentile(write_s, 90),
-            "writes_per_s": len(write_s) / load.elapsed,
             "peak_rss_bytes": report["peak_rss_bytes"],
         }
     return {
@@ -571,7 +560,7 @@ def _layer_metrics(report, load, final_metrics, scheduled):
     # Overhead: incremental writes (the span-densest path) in the traced
     # cycles against those in the untraced cycles between them.
     incremental = [
-        (traced(start), latency)
+        (traced(start), latency * load.probes.factor(start, "zlib"))
         for start, latency, mode, _tid in load.writes
         if mode == "incremental"
     ]
