@@ -14,8 +14,9 @@ Stages (all timed, all recorded in ``BENCH_scale.json``):
    :func:`load_edge_list_streaming`; each reports its ``ru_maxrss``
    above a post-import baseline.  The contract: the streaming loader's
    peak is **<= 0.5x** the dict loader's at the full scale target.
-3. **count + peel** — per-edge butterfly counting and the BiT-BU-CSR
-   peel, the paper's core pipeline, re-pinned at scale.
+3. **count + peel** — per-edge butterfly counting (the wedge-block kernel
+   of ``repro/butterfly/wedges.py``) and the BiT-BU-CSR peel, the paper's
+   core pipeline, re-pinned at scale.
 4. **artifact round-trip** — save in the mmappable directory layout,
    reload eagerly and via ``mmap_mode="r"`` (integrity hash verified in
    both modes), timing each.
@@ -47,7 +48,7 @@ from benchmarks._shared import (
     peak_rss_delta_bytes,
     publish,
 )
-from repro.butterfly.counting import count_per_edge
+from repro.butterfly.vectorized import count_per_edge_vectorized
 from repro.core import bit_bu_csr
 from repro.graph import chung_lu_edge_chunks, write_edge_chunks
 from repro.graph.io import load_edge_list_streaming
@@ -187,7 +188,7 @@ def run_bench(tmp_dir: Path) -> dict:
     record["num_edges"] = graph.num_edges
 
     t0 = time.perf_counter()
-    support = count_per_edge(graph)
+    support = count_per_edge_vectorized(graph)
     record["count_seconds"] = round(time.perf_counter() - t0, 3)
     record["butterflies"] = int(support.sum()) // 4
 

@@ -1,125 +1,29 @@
 """Numpy-vectorized butterfly counting.
 
 Same vertex-priority algorithm as :func:`repro.butterfly.counting.count_per_edge`
-but with the inner wedge loops replaced by array operations: per start
-vertex, the two-hop frontier is materialized as one concatenated array, the
-per-anchor wedge counts come from ``np.bincount``, and the per-edge
-contributions are scattered with ``np.add.at``.
+(the scalar oracle), run by the wedge-block kernel of
+:mod:`repro.butterfly.wedges`: the priority-obeyed wedges of whole blocks of
+start vertices are expanded, grouped by ``(start, end)`` anchor and charged
+with ``np.add.at``, with no Python loop per vertex.  The traversal runs
+directly on the graph's shared priority-sorted CSR arrays
+(:meth:`repro.graph.bipartite.BipartiteGraph.csr_gid_sorted`), so no
+per-call adjacency copy is built.
 
-The traversal runs directly on the graph's shared CSR arrays
-(:meth:`repro.graph.bipartite.BipartiteGraph.csr_gid_sorted`): rows arrive
-pre-sorted by neighbour priority, so the "priority < p(start)" filter is a
-prefix lookup (``np.searchsorted``), and no per-call adjacency copy is built.
-
-This is the library's answer to the pure-Python speed gap (no numba/C
-extensions available): on *dense* graphs, whose start vertices own large
-two-hop frontiers, the vectorized path is ~6x faster; on sparse-row graphs
-with tiny frontiers the per-vertex numpy overhead makes the scalar loop the
-better choice.  The ablation bench (`benchmarks/bench_ablation_counting.py`)
-quantifies the crossover, and the tests pin both implementations (plus the
-naive counter) to identical outputs.
+The ablation bench (`benchmarks/bench_ablation_counting.py`) pins this
+counter as no slower than the scalar one on sparse, dense and hub-heavy
+graphs, and the tests pin both implementations (plus the naive counter) to
+identical outputs.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
+from repro.butterfly.wedges import support_on_arrays
 from repro.graph.bipartite import BipartiteGraph
 from repro.obs import phases as obs_phases
-
-
-def gather_two_hop(
-    indptr: np.ndarray,
-    neighbors: np.ndarray,
-    edge_ids: np.ndarray,
-    row_prios: np.ndarray,
-    start: int,
-    p_start: int,
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Concatenated priority-obeyed two-hop frontier of ``start``.
-
-    Rows must be pre-sorted by neighbour priority (``csr_gid_sorted``), so
-    each "priority < p_start" filter is one ``searchsorted`` prefix lookup.
-
-    Returns ``(ends, end_edges, wedge_mid_edge)`` — one slot per
-    priority-obeyed wedge ``(start, v, w)`` holding the end vertex ``w``,
-    the edge id of ``(v, w)`` and the edge id of ``(start, v)`` — or
-    ``None`` when the frontier is empty.
-    """
-    lo, hi = int(indptr[start]), int(indptr[start + 1])
-    if hi - lo < 2:
-        return None
-    cut = int(np.searchsorted(row_prios[lo:hi], p_start))
-    if cut == 0:
-        return None
-    middles = neighbors[lo : lo + cut]
-    mid_edges = edge_ids[lo : lo + cut]
-
-    cuts = np.empty(len(middles), dtype=np.int64)
-    for i, v in enumerate(middles):
-        vlo, vhi = int(indptr[v]), int(indptr[v + 1])
-        cuts[i] = np.searchsorted(row_prios[vlo:vhi], p_start)
-    total = int(cuts.sum())
-    if total == 0:
-        return None
-    ends = np.empty(total, dtype=np.int64)
-    end_edges = np.empty(total, dtype=np.int64)
-    wedge_mid_edge = np.empty(total, dtype=np.int64)
-    pos = 0
-    for i, v in enumerate(middles):
-        c = int(cuts[i])
-        if c == 0:
-            continue
-        vlo = int(indptr[v])
-        ends[pos : pos + c] = neighbors[vlo : vlo + c]
-        end_edges[pos : pos + c] = edge_ids[vlo : vlo + c]
-        wedge_mid_edge[pos : pos + c] = mid_edges[i]
-        pos += c
-    return ends, end_edges, wedge_mid_edge
-
-
-def count_range_on_arrays(
-    indptr: np.ndarray,
-    neighbors: np.ndarray,
-    edge_ids: np.ndarray,
-    row_prios: np.ndarray,
-    prio: np.ndarray,
-    num_edges: int,
-    start_lo: int,
-    start_hi: int,
-) -> np.ndarray:
-    """Partial per-edge supports from start vertices in ``[start_lo, start_hi)``.
-
-    The kernel underneath :func:`count_per_edge_vectorized`, phrased over
-    raw priority-sorted gid-CSR arrays instead of a graph object so that
-    shared-memory workers (:mod:`repro.runtime`) can run it against
-    attached views without rebuilding a :class:`BipartiteGraph`.  Summing
-    the partial arrays of a disjoint start-range partition reproduces the
-    full supports exactly (integer contributions are per start vertex).
-    """
-    n = len(indptr) - 1
-    support = np.zeros(num_edges, dtype=np.int64)
-    for start in range(start_lo, start_hi):
-        frontier = gather_two_hop(
-            indptr, neighbors, edge_ids, row_prios, start, prio[start]
-        )
-        if frontier is None:
-            continue
-        ends, end_edges, wedge_mid_edge = frontier
-
-        counts = np.bincount(ends, minlength=n)
-        wedge_counts = counts[ends]  # per wedge: its anchor-pair's k
-        contrib = wedge_counts - 1
-        contrib[contrib < 0] = 0
-        # zero out wedges whose anchor pair has k == 1 (no butterfly)
-        active = wedge_counts > 1
-        if not active.any():
-            continue
-        np.add.at(support, end_edges[active], contrib[active])
-        np.add.at(support, wedge_mid_edge[active], contrib[active])
-    return support
 
 
 def count_per_edge_vectorized(
@@ -141,7 +45,7 @@ def count_per_edge_vectorized(
         priorities
     )
     with obs_phases.phase("butterfly counting"):
-        return count_range_on_arrays(
+        return support_on_arrays(
             indptr, neighbors, edge_ids, row_prios, prio, graph.num_edges, 0, n
         )
 

@@ -41,7 +41,10 @@ to scalar BiT-BU (Lemma 9 makes batch assignment safe).
 
 Tiny buckets fall back to a scalar walk over the same arrays
 (``scalar_cutoff``): a two-edge batch does not amortize numpy call
-overhead, the exact crossover the counting ablation already measured.
+overhead.
+
+The index is built by the wedge-block kernel of
+:mod:`repro.butterfly.wedges` (see :func:`build_shard_on_arrays`).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.butterfly.vectorized import gather_two_hop
+from repro.butterfly.wedges import add_bloom_support, bloom_blocks
 from repro.graph.bipartite import BipartiteGraph
 from repro.obs import phases as obs_phases
 from repro.utils.bucket_queue import BucketQueue
@@ -186,7 +189,8 @@ def build_shard_on_arrays(
 
     The construction kernel underneath :meth:`CSRPeelingEngine.build`,
     phrased over arrays (not a graph object) so shared-memory workers can
-    run it against attached views.  Returns
+    run it against attached views.  The blooms come from the wedge-block
+    kernel (:func:`repro.butterfly.wedges.bloom_blocks`).  Returns
     ``(support, pair_e1, pair_e2, pair_bloom, bloom_k)`` where ``support``
     is the full-length partial support array and ``pair_bloom`` numbers
     blooms locally from 0 in discovery order.  Because maximal
@@ -198,62 +202,27 @@ def build_shard_on_arrays(
     support = np.zeros(num_edges, dtype=np.int64)
     pair_e1_parts: List[np.ndarray] = []
     pair_e2_parts: List[np.ndarray] = []
-    pair_bloom_parts: List[np.ndarray] = []
     bloom_k_parts: List[np.ndarray] = []
-    next_bloom = 0
+    for mid_edges, end_edges, bloom_k in bloom_blocks(
+        indptr, neighbors, edge_ids, row_prios, prio, start_lo, start_hi
+    ):
+        add_bloom_support(support, mid_edges, end_edges, bloom_k)
+        pair_e1_parts.append(mid_edges)
+        pair_e2_parts.append(end_edges)
+        bloom_k_parts.append(bloom_k)
 
-    for start in range(start_lo, start_hi):
-        frontier = gather_two_hop(
-            indptr, neighbors, edge_ids, row_prios, start, prio[start]
-        )
-        if frontier is None:
-            continue
-        ends, end_edges, wedge_mid_edge = frontier
-
-        # Group the wedges of this start by end vertex: each group of
-        # size k >= 2 is one maximal priority-obeyed bloom.
-        order = np.argsort(ends, kind="stable")
-        sorted_ends = ends[order]
-        sorted_end_edges = end_edges[order]
-        sorted_mid_edges = wedge_mid_edge[order]
-        boundary = np.empty(len(sorted_ends), dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_ends[1:], sorted_ends[:-1], out=boundary[1:])
-        run_ids = np.cumsum(boundary) - 1
-        run_starts = np.nonzero(boundary)[0]
-        run_lengths = np.diff(np.append(run_starts, len(sorted_ends)))
-
-        k_per_wedge = run_lengths[run_ids]
-        active = k_per_wedge >= 2
-        if not active.any():
-            continue
-        contrib = k_per_wedge[active] - 1
-        np.add.at(support, sorted_end_edges[active], contrib)
-        np.add.at(support, sorted_mid_edges[active], contrib)
-
-        run_is_active = run_lengths >= 2
-        bloom_of_run = np.full(len(run_lengths), -1, dtype=np.int64)
-        n_active = int(run_is_active.sum())
-        bloom_of_run[run_is_active] = next_bloom + np.arange(
-            n_active, dtype=np.int64
-        )
-        next_bloom += n_active
-
-        pair_e1_parts.append(sorted_mid_edges[active])
-        pair_e2_parts.append(sorted_end_edges[active])
-        pair_bloom_parts.append(bloom_of_run[run_ids[active]])
-        bloom_k_parts.append(run_lengths[run_is_active])
-
-    empty = np.empty(0, dtype=np.int64)
-    if pair_bloom_parts:
-        return (
-            support,
-            np.concatenate(pair_e1_parts),
-            np.concatenate(pair_e2_parts),
-            np.concatenate(pair_bloom_parts),
-            np.concatenate(bloom_k_parts),
-        )
-    return support, empty, empty, empty, empty
+    if not bloom_k_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return support, empty, empty, empty, empty
+    bloom_k = np.concatenate(bloom_k_parts)
+    pair_bloom = np.repeat(np.arange(len(bloom_k), dtype=np.int64), bloom_k)
+    return (
+        support,
+        np.concatenate(pair_e1_parts),
+        np.concatenate(pair_e2_parts),
+        pair_bloom,
+        bloom_k,
+    )
 
 
 def _gather_rows(
@@ -316,10 +285,12 @@ class CSRPeelingEngine:
         """Construct the flat-array index straight from the graph's CSR.
 
         Performs the same priority-obeyed wedge traversal as
-        :meth:`repro.index.be_index.BEIndex.build` (Algorithm 3), but
-        collects wedge groups with ``np.argsort`` run detection and scatters
-        the per-edge supports with ``np.add.at`` — no Bloom dictionaries are
-        ever materialized.  The traversal itself is one call to
+        :meth:`repro.index.be_index.BEIndex.build` (Algorithm 3), run by
+        the wedge-block kernel of :mod:`repro.butterfly.wedges`: whole
+        blocks of wedges are grouped by ``(start, end)`` with one stable
+        sort and the per-edge supports scattered with ``np.add.at`` — no
+        Python loop per vertex, and no Bloom dictionaries are ever
+        materialized.  The traversal itself is one call to
         :func:`build_shard_on_arrays` over the whole start range; the
         shared-memory runtime builds the same engine from several
         range shards (:meth:`from_shards`).

@@ -2,9 +2,10 @@
 
 Both operations shard the same way: the start-vertex space is split into
 contiguous ranges (several per worker, so a hub-heavy range cannot straggle
-the pool), each range runs the corresponding vectorized kernel against the
-worker's zero-copy view of the published CSR arrays, and the parent merges
-the shard results deterministically in ascending range order:
+the pool), each range runs the wedge-block kernel
+(:mod:`repro.butterfly.wedges`) against the worker's zero-copy view of the
+published CSR arrays, and the parent merges the shard results
+deterministically in ascending range order:
 
 * **counting** — partial support arrays sum (integer contributions are per
   start vertex, so any summation order is exact);
@@ -25,7 +26,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.butterfly.vectorized import count_range_on_arrays
+from repro.butterfly.wedges import support_on_arrays
 from repro.core.peeling_engine import (
     BuildShard,
     CSRPeelingEngine,
@@ -42,7 +43,7 @@ def _task_count_range(
 ) -> np.ndarray:
     """Partial per-edge supports of one start range (runs in a worker)."""
     views = attached_views(manifest)
-    return count_range_on_arrays(
+    return support_on_arrays(
         views["indptr"],
         views["indices"],
         views["edge_ids"],
