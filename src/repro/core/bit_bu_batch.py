@@ -16,7 +16,8 @@ never changes the bitruss number of an equal-support edge).
 * **BiT-BU-CSR** evaluates exactly the BiT-BU++ batch semantics, but on the
   flat-array index of :mod:`repro.core.peeling_engine`: both passes become
   vectorized gathers + ``np.add.at`` scatters against the graph's CSR
-  arrays, with a scalar fallback for tiny buckets.
+  arrays, and the bucket queue is an array frontier over the support
+  array, so every batch — tiny ones included — runs as array operations.
 
 Support updates are floored at the batch's minimum support ``MBS`` exactly
 as Algorithm 5 lines 12/18 prescribe.
@@ -107,9 +108,12 @@ def bit_bu_csr(
     counter: Optional[UpdateCounter] = None,
     timer: Optional[PhaseTimer] = None,
     size_model: Optional[IndexSizeModel] = None,
-    scalar_cutoff: int = 24,
 ) -> BitrussDecomposition:
     """Vectorized batch peeling on the flat-array (CSR) BE-Index.
+
+    Builds a :class:`~repro.core.peeling_engine.CSRPeelingEngine` and peels
+    it: each minimum-support bucket is popped from the engine's array
+    frontier and processed as one batch of array operations.
 
     Parameters
     ----------
@@ -117,9 +121,6 @@ def bit_bu_csr(
         The bipartite graph to decompose.
     counter, timer, size_model:
         Optional instrumentation sinks (see :mod:`repro.utils.stats`).
-    scalar_cutoff:
-        Buckets of at most this many edges take the scalar fallback walk;
-        larger buckets are processed with whole-batch array operations.
 
     Returns
     -------
@@ -134,7 +135,7 @@ def bit_bu_csr(
     size_model.observe(*engine.size_components())
 
     with timer.time("peeling"):
-        phi = engine.peel(counter=counter, scalar_cutoff=scalar_cutoff)
+        phi = engine.peel(counter=counter)
 
     return _finish("BiT-BU-CSR", graph, phi, counter, timer, size_model)
 

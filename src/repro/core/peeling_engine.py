@@ -39,9 +39,11 @@ of the scalar algorithm collapse into a single floored subtraction of the
 accumulated loss, so the resulting bitruss numbers are bitwise identical
 to scalar BiT-BU (Lemma 9 makes batch assignment safe).
 
-Tiny buckets fall back to a scalar walk over the same arrays
-(``scalar_cutoff``): a two-edge batch does not amortize numpy call
-overhead.
+The bucket queue is array-native too (:class:`PeelFrontier`): the
+engine's own ``support`` array, a ``remaining`` mask and a lazily
+materialized window of the lowest-support edges, after Julienne's bucketing
+(Dhulipala, Blelloch & Shun, SPAA 2017), so no step of the peel loops over
+edges in Python.
 
 The index is built by the wedge-block kernel of
 :mod:`repro.butterfly.wedges` (see :func:`build_shard_on_arrays`).
@@ -403,170 +405,98 @@ class CSRPeelingEngine:
 
     # ------------------------------------------------------------- peeling
 
-    def peel(
-        self,
-        *,
-        counter: Optional[UpdateCounter] = None,
-        scalar_cutoff: int = 24,
-    ) -> np.ndarray:
+    def peel(self, *, counter: Optional[UpdateCounter] = None) -> np.ndarray:
         """Bottom-up batch peeling; returns the bitruss number of every edge.
+
+        Every batch is the whole current minimum-support bucket, popped
+        from a :class:`PeelFrontier` over :attr:`support` and processed
+        with array operations (:meth:`_peel_batch`).
 
         Parameters
         ----------
         counter:
             Optional :class:`~repro.utils.stats.UpdateCounter`; one update is
             recorded per (edge, batch) support change.
-        scalar_cutoff:
-            Batches of at most this many edges take the scalar array walk
-            (numpy per-call overhead dominates tiny batches); larger batches
-            take the vectorized path.  ``0`` forces vectorized everywhere.
 
         Returns
         -------
         numpy.ndarray
             ``phi`` with ``phi[e]`` the bitruss number of edge ``e`` —
             bitwise identical to scalar BiT-BU's output.
+
+        Examples
+        --------
+        >>> from repro.core.bit_bu import bit_bu
+        >>> from repro.graph.generators import paper_figure4_graph
+        >>> graph = paper_figure4_graph()
+        >>> phi = CSRPeelingEngine.build(graph).peel()
+        >>> bool((phi == bit_bu(graph).phi).all())
+        True
         """
         phi = np.zeros(self.num_edges, dtype=np.int64)
-        if self.num_edges == 0:
-            return phi
-        queue = BucketQueue.from_keys(self.support)
-        in_batch = np.zeros(self.num_edges, dtype=bool)
-        while not queue.is_empty():
-            batch, mbs = queue.pop_min_batch()
+        frontier = PeelFrontier(self.support)
+        while frontier:
+            batch, mbs = frontier.pop()
             phi[batch] = mbs
-            if len(batch) <= scalar_cutoff:
-                with obs_phases.phase("scalar batches"):
-                    self._peel_batch_scalar(batch, mbs, queue, counter)
-            else:
-                with obs_phases.phase("vectorized batches"):
-                    self._peel_batch_vectorized(
-                        batch, mbs, queue, counter, in_batch
-                    )
+            with obs_phases.phase("batch updates"):
+                self._peel_batch(batch, mbs, frontier, counter)
         return phi
 
-    def _peel_batch_scalar(
+    def _peel_batch(
         self,
-        batch: List[int],
+        batch: np.ndarray,
         mbs: int,
-        queue: BucketQueue,
+        frontier: "PeelFrontier",
         counter: Optional[UpdateCounter],
-    ) -> None:
-        """Small-batch fallback: same two passes, plain Python loops."""
-        batch_set = set(batch)
-        e_indptr = self.e_indptr
-        e_pair = self.e_pair
-        pair_alive = self.pair_alive
-        pair_bloom = self.pair_bloom
-        pair_e1 = self.pair_e1
-        pair_e2 = self.pair_e2
-        bloom_k = self.bloom_k
-        removed: Dict[int, int] = {}
-        loss: Dict[int, int] = {}
-        for edge in batch:
-            for slot in range(int(e_indptr[edge]), int(e_indptr[edge + 1])):
-                pair = int(e_pair[slot])
-                if not pair_alive[pair]:
-                    continue
-                bloom = int(pair_bloom[pair])
-                k = int(bloom_k[bloom])
-                if k < 2:
-                    continue
-                pair_alive[pair] = False
-                removed[bloom] = removed.get(bloom, 0) + 1
-                e1 = int(pair_e1[pair])
-                twin = int(pair_e2[pair]) if e1 == edge else e1
-                if twin not in batch_set:
-                    loss[twin] = loss.get(twin, 0) + k - 1
-        b_indptr = self.b_indptr
-        b_pair = self.b_pair
-        for bloom, c_removed in removed.items():
-            for slot in range(int(b_indptr[bloom]), int(b_indptr[bloom + 1])):
-                pair = int(b_pair[slot])
-                if pair_alive[pair]:
-                    e1 = int(pair_e1[pair])
-                    e2 = int(pair_e2[pair])
-                    loss[e1] = loss.get(e1, 0) + c_removed
-                    loss[e2] = loss.get(e2, 0) + c_removed
-            bloom_k[bloom] -= c_removed
-        support = self.support
-        for edge, total in loss.items():
-            new_value = max(mbs, int(support[edge]) - total)
-            if new_value != support[edge]:
-                support[edge] = new_value
-                queue.update(edge, new_value)
-                if counter is not None:
-                    counter.record(edge)
-
-    def _peel_batch_vectorized(
-        self,
-        batch: List[int],
-        mbs: int,
-        queue: BucketQueue,
-        counter: Optional[UpdateCounter],
-        in_batch: np.ndarray,
     ) -> None:
         """Whole-bucket update via gathers, ``np.unique`` and ``np.add.at``."""
-        batch_arr = np.asarray(batch, dtype=np.int64)
-        in_batch[batch_arr] = True
-        try:
-            links, owner = _gather_rows(self.e_indptr, self.e_pair, batch_arr)
-            if not len(links):
-                return
-            alive = self.pair_alive[links] & (
-                self.bloom_k[self.pair_bloom[links]] >= 2
-            )
-            links = links[alive]
-            owner = owner[alive]
-            if not len(links):
-                return
-            # Pass 1 — detach.  A pair with both endpoints in the batch
-            # appears twice in `links`; np.unique counts it once (exactly the
-            # "twin already severed" skip of the scalar algorithm).
-            twin = np.where(
-                self.pair_e1[links] == owner, self.pair_e2[links], self.pair_e1[links]
-            )
-            removed_pairs = np.unique(links)
-            touched, c_removed = np.unique(
-                self.pair_bloom[removed_pairs], return_counts=True
-            )
-            # Losses are accumulated sparsely — (edge, amount) fragments —
-            # so a batch only ever touches O(affected) memory, never O(m).
-            loss_edges: List[np.ndarray] = []
-            loss_values: List[np.ndarray] = []
-            external = ~in_batch[twin]
-            if external.any():
-                loss_edges.append(twin[external])
-                loss_values.append(
-                    self.bloom_k[self.pair_bloom[links[external]]] - 1
-                )
-            self.pair_alive[removed_pairs] = False
-            # Pass 2 — every surviving pair of a touched bloom charges both
-            # of its edges the bloom's removed-pair count C(B*).
-            pairs_g, bloom_of_g = _gather_rows(self.b_indptr, self.b_pair, touched)
-            if len(pairs_g):
-                surviving = self.pair_alive[pairs_g]
-                pairs_s = pairs_g[surviving]
-                # `touched` is sorted (np.unique), so the bloom -> C(B*)
-                # lookup is a searchsorted, not an O(num_blooms) scatter.
-                charge_s = c_removed[
-                    np.searchsorted(touched, bloom_of_g[surviving])
-                ]
-                loss_edges.append(self.pair_e1[pairs_s])
-                loss_values.append(charge_s)
-                loss_edges.append(self.pair_e2[pairs_s])
-                loss_values.append(charge_s)
-            self.bloom_k[touched] -= c_removed
-            self._apply_losses(loss_edges, loss_values, mbs, queue, counter)
-        finally:
-            in_batch[batch_arr] = False
+        links, owner = _gather_rows(self.e_indptr, self.e_pair, batch)
+        alive = self.pair_alive[links] & (self.bloom_k[self.pair_bloom[links]] >= 2)
+        links = links[alive]
+        owner = owner[alive]
+        if not len(links):
+            return
+        # Pass 1 — detach.  A pair with both endpoints in the batch
+        # appears twice in `links`; np.unique counts it once (exactly the
+        # "twin already severed" skip of the scalar algorithm).
+        twin = np.where(
+            self.pair_e1[links] == owner, self.pair_e2[links], self.pair_e1[links]
+        )
+        removed_pairs = np.unique(links)
+        touched, c_removed = np.unique(
+            self.pair_bloom[removed_pairs], return_counts=True
+        )
+        # Losses are accumulated sparsely — (edge, amount) fragments —
+        # so a batch only ever touches O(affected) memory, never O(m).
+        loss_edges: List[np.ndarray] = []
+        loss_values: List[np.ndarray] = []
+        # A live pair of a k >= 2 bloom never holds an edge peeled by an
+        # earlier batch (peeling kills all such pairs, and k never grows),
+        # so its twin is external exactly when it is still remaining.
+        external = frontier.remaining[twin]
+        if external.any():
+            loss_edges.append(twin[external])
+            loss_values.append(self.bloom_k[self.pair_bloom[links[external]]] - 1)
+        self.pair_alive[removed_pairs] = False
+        # Pass 2 — every surviving pair of a touched bloom charges both
+        # of its edges the bloom's removed-pair count C(B*).
+        pairs_g, bloom_of_g = _gather_rows(self.b_indptr, self.b_pair, touched)
+        surviving = self.pair_alive[pairs_g]
+        pairs_s = pairs_g[surviving]
+        # `touched` is sorted (np.unique), so the bloom -> C(B*)
+        # lookup is a searchsorted, not an O(num_blooms) scatter.
+        charge_s = c_removed[np.searchsorted(touched, bloom_of_g[surviving])]
+        loss_edges += [self.pair_e1[pairs_s], self.pair_e2[pairs_s]]
+        loss_values += [charge_s, charge_s]
+        self.bloom_k[touched] -= c_removed
+        self._apply_losses(loss_edges, loss_values, mbs, frontier, counter)
 
     def _apply_losses(
         self,
         loss_edges: List[np.ndarray],
         loss_values: List[np.ndarray],
         mbs: int,
-        queue: BucketQueue,
+        frontier: "PeelFrontier",
         counter: Optional[UpdateCounter],
     ) -> None:
         """Merge (edge, amount) loss fragments and apply them, floored at
@@ -581,12 +511,84 @@ class CSRPeelingEngine:
         changed, inverse = np.unique(edges_cat, return_inverse=True)
         totals = np.zeros(len(changed), dtype=np.int64)
         np.add.at(totals, inverse, values_cat)
-        new_values = np.maximum(mbs, self.support[changed] - totals)
-        moved = new_values != self.support[changed]
-        self.support[changed] = new_values
-        for edge, value in zip(
-            changed[moved].tolist(), new_values[moved].tolist()
-        ):
-            queue.update(edge, value)
-            if counter is not None:
-                counter.record(edge)
+        moved = frontier.lower(changed, totals, mbs)
+        if counter is not None:
+            counter.record_many(moved)
+
+
+#: Target size of a :class:`PeelFrontier` window: each refill scans the
+#: remaining supports once and admits about this many edges.
+FRONTIER_WINDOW = 4096
+
+
+class PeelFrontier:
+    """The peel's bucket queue as arrays over a shared ``support`` array.
+
+    Three parts, after Julienne's lazily materialized buckets (Dhulipala,
+    Blelloch & Shun, SPAA 2017): a ``remaining`` mask, a bound ``hi`` and
+    a window ``ids`` of remaining edges with support below ``hi``.
+    Invariant: every remaining edge with support ``< hi`` is in ``ids``;
+    supports only fall, never below the key being peeled, so the window's
+    minimum is the global minimum.  An empty window is refilled by one scan
+    of the remaining supports, with ``hi`` one above their
+    :data:`FRONTIER_WINDOW`-th smallest value.  Pops match
+    :meth:`~repro.utils.bucket_queue.BucketQueue.pop_min_batch` under the
+    same updates.
+    """
+
+    def __init__(self, support: np.ndarray) -> None:
+        self.support = support
+        self.remaining = np.ones(len(support), dtype=bool)
+        self.hi = 0
+        self.ids = np.empty(0, dtype=np.int64)
+        self._left = len(support)
+
+    def __len__(self) -> int:
+        return self._left
+
+    def pop(self) -> Tuple[np.ndarray, int]:
+        """Remove and return ``(edges, key)`` — every remaining edge at the
+        minimum support (in no particular order)."""
+        if not len(self.ids):
+            self._refill()
+        keys = self.support[self.ids]
+        key = int(keys.min())
+        at_min = keys == key
+        batch = self.ids[at_min]
+        self.ids = self.ids[~at_min]
+        self.remaining[batch] = False
+        self._left -= len(batch)
+        return batch, key
+
+    def lower(
+        self, edges: np.ndarray, amounts: np.ndarray, floor: int
+    ) -> np.ndarray:
+        """Subtract ``amounts`` from the supports of ``edges`` (distinct,
+        remaining), floored at ``floor`` — the key just popped.  Returns
+        the edges whose support changed."""
+        old = self.support[edges]
+        new = np.maximum(floor, old - amounts)
+        moved = new != old
+        edges = edges[moved]
+        new = new[moved]
+        self.support[edges] = new
+        crossed = edges[(new < self.hi) & (old[moved] >= self.hi)]
+        if len(crossed):
+            self.ids = np.concatenate((self.ids, crossed))
+        return edges
+
+    def _refill(self) -> None:
+        """Rebuild the window from one scan of the remaining supports."""
+        if not self._left:
+            raise IndexError("pop from empty PeelFrontier")
+        with obs_phases.phase("frontier refill"):
+            # The one O(m) temporary (besides the mask); the bool mask
+            # below is built only after it is released.
+            keys = self.support[self.remaining]
+            rank = min(FRONTIER_WINDOW, len(keys)) - 1
+            keys.partition(rank)
+            self.hi = int(keys[rank]) + 1
+            del keys
+            below = self.support < self.hi
+            below &= self.remaining
+            self.ids = np.flatnonzero(below)

@@ -16,13 +16,14 @@ ownership of all mutations — a classic level-synchronous design:
    fragments.
 3. **Apply (parent only)** — all loss fragments accumulate with one
    ``np.add.at``, supports floor at the level's minimum ``MBS`` and the
-   bucket queue advances.
+   engine's array frontier (:class:`~repro.core.peeling_engine.PeelFrontier`)
+   advances.
 
 Every merge is an order-independent integer sum over ``np.unique`` keys, so
 φ is **bitwise identical** to ``bit-bu-csr`` (and therefore to scalar
 BiT-BU) regardless of worker count or chunk boundaries.  Small levels skip
 the pool entirely (``shard_cutoff``) — IPC cannot amortize a three-edge
-batch — falling back to the engine's own scalar/vectorized batch steps.
+batch — falling back to the engine's own batch step.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.bit_bu_batch import _finish, bit_bu_csr
-from repro.core.peeling_engine import CSRPeelingEngine, _gather_rows
+from repro.core.peeling_engine import CSRPeelingEngine, PeelFrontier, _gather_rows
 from repro.core.result import BitrussDecomposition
 from repro.graph.bipartite import BipartiteGraph
 from repro.obs import phases as obs_phases
 from repro.runtime.pool import ParallelRuntime, attached_views
 from repro.runtime.shm import ArenaManifest
-from repro.utils.bucket_queue import BucketQueue
 from repro.utils.stats import IndexSizeModel, PhaseTimer, UpdateCounter
 
 #: Keys of the engine arrays published for the peeling waves.
@@ -107,7 +107,6 @@ def parallel_peel(
     runtime: ParallelRuntime,
     *,
     counter: Optional[UpdateCounter] = None,
-    scalar_cutoff: int = 24,
     shard_cutoff: int = 2048,
 ) -> np.ndarray:
     """Peel ``engine`` level-synchronously on ``runtime``'s pool.
@@ -121,12 +120,10 @@ def parallel_peel(
         for the duration of the peel.
     counter:
         Optional update counter; one update per (edge, level) change.
-    scalar_cutoff:
-        Parent-side scalar/vectorized crossover for small levels
-        (forwarded to the engine's batch steps).
     shard_cutoff:
         Levels with at most this many edges are processed entirely in the
-        parent; larger levels shard across the pool.
+        parent (the engine's own batch step); larger levels shard across
+        the pool.
 
     Returns
     -------
@@ -137,19 +134,7 @@ def parallel_peel(
     if engine.num_edges == 0:
         return phi
 
-    arena = runtime.publish(
-        {
-            "e_indptr": engine.e_indptr,
-            "e_pair": engine.e_pair,
-            "b_indptr": engine.b_indptr,
-            "b_pair": engine.b_pair,
-            "pair_e1": engine.pair_e1,
-            "pair_e2": engine.pair_e2,
-            "pair_bloom": engine.pair_bloom,
-            "pair_alive": engine.pair_alive,
-            "bloom_k": engine.bloom_k,
-        }
-    )
+    arena = runtime.publish({key: getattr(engine, key) for key in ENGINE_ARRAY_KEYS})
     # Re-home the mutable state: parent writes land in the shared pages the
     # workers read, so each wave sees the previous wave's state without any
     # copying.  Static arrays stay parent-local for the parent-side steps.
@@ -158,18 +143,15 @@ def parallel_peel(
     manifest = arena.manifest
 
     try:
-        queue = BucketQueue.from_keys(engine.support)
-        in_batch = np.zeros(engine.num_edges, dtype=bool)
-        while not queue.is_empty():
-            batch, mbs = queue.pop_min_batch()
+        frontier = PeelFrontier(engine.support)
+        while frontier:
+            batch, mbs = frontier.pop()
             phi[batch] = mbs
-            if len(batch) <= scalar_cutoff:
-                engine._peel_batch_scalar(batch, mbs, queue, counter)
-            elif len(batch) <= shard_cutoff:
-                engine._peel_batch_vectorized(batch, mbs, queue, counter, in_batch)
+            if len(batch) <= shard_cutoff:
+                engine._peel_batch(batch, mbs, frontier, counter)
             else:
                 _peel_level_sharded(
-                    engine, runtime, manifest, batch, mbs, queue, counter, in_batch
+                    engine, runtime, manifest, batch, mbs, frontier, counter
                 )
         return phi
     finally:
@@ -184,70 +166,61 @@ def _peel_level_sharded(
     engine: CSRPeelingEngine,
     runtime: ParallelRuntime,
     manifest: ArenaManifest,
-    batch: List[int],
+    batch: np.ndarray,
     mbs: int,
-    queue: BucketQueue,
+    frontier: PeelFrontier,
     counter: Optional[UpdateCounter],
-    in_batch: np.ndarray,
 ) -> None:
     """One large level, processed as the two sharded waves + parent apply."""
-    batch_arr = np.asarray(batch, dtype=np.int64)
-    in_batch[batch_arr] = True
-    try:
-        loss_edges: List[np.ndarray] = []
-        loss_values: List[np.ndarray] = []
+    loss_edges: List[np.ndarray] = []
+    loss_values: List[np.ndarray] = []
 
-        # Wave 1 — sharded detach scan over the batch.
-        with obs_phases.phase("wave 1 dispatch"):
-            tasks = [
-                (manifest, chunk)
-                for chunk in _array_chunks(batch_arr, runtime.workers)
-            ]
-            parts = runtime.map_tasks(_task_detach_scan, tasks)
-        links = np.concatenate([p[0] for p in parts])
-        twin = np.concatenate([p[1] for p in parts])
-        k_minus_1 = np.concatenate([p[2] for p in parts])
-        if not len(links):
-            return
-        external = ~in_batch[twin]
-        if external.any():
-            loss_edges.append(twin[external])
-            loss_values.append(k_minus_1[external])
-        # A pair with both endpoints in the batch surfaced once per
-        # endpoint (possibly from different chunks); np.unique collapses it
-        # to a single detachment, matching the scalar "twin already
-        # severed" skip.
-        removed_pairs = np.unique(links)
-        touched, c_removed = np.unique(
-            engine.pair_bloom[removed_pairs], return_counts=True
+    # Wave 1 — sharded detach scan over the batch.
+    with obs_phases.phase("wave 1 dispatch"):
+        tasks = [(manifest, chunk) for chunk in _array_chunks(batch, runtime.workers)]
+        parts = runtime.map_tasks(_task_detach_scan, tasks)
+    links = np.concatenate([p[0] for p in parts])
+    twin = np.concatenate([p[1] for p in parts])
+    k_minus_1 = np.concatenate([p[2] for p in parts])
+    if not len(links):
+        return
+    external = frontier.remaining[twin]  # see CSRPeelingEngine._peel_batch
+    if external.any():
+        loss_edges.append(twin[external])
+        loss_values.append(k_minus_1[external])
+    # A pair with both endpoints in the batch surfaced once per
+    # endpoint (possibly from different chunks); np.unique collapses it
+    # to a single detachment, matching the scalar "twin already
+    # severed" skip.
+    removed_pairs = np.unique(links)
+    touched, c_removed = np.unique(
+        engine.pair_bloom[removed_pairs], return_counts=True
+    )
+    engine.pair_alive[removed_pairs] = False  # shared write, pre-wave-2
+
+    # Wave 2 — sharded surviving-pair scan over the touched blooms.
+    with obs_phases.phase("wave 2 dispatch"):
+        bounds = np.cumsum(
+            [0] + [len(c) for c in _array_chunks(touched, runtime.workers)]
         )
-        engine.pair_alive[removed_pairs] = False  # shared write, pre-wave-2
+        tasks = [
+            (manifest, touched[lo:hi], c_removed[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        scans = runtime.map_tasks(_task_bloom_scan, tasks)
+    for e1_s, e2_s, charge in scans:
+        if len(charge):
+            loss_edges.append(e1_s)
+            loss_values.append(charge)
+            loss_edges.append(e2_s)
+            loss_values.append(charge)
+    engine.bloom_k[touched] -= c_removed
 
-        # Wave 2 — sharded surviving-pair scan over the touched blooms.
-        with obs_phases.phase("wave 2 dispatch"):
-            bounds = np.cumsum(
-                [0] + [len(c) for c in _array_chunks(touched, runtime.workers)]
-            )
-            tasks = [
-                (manifest, touched[lo:hi], c_removed[lo:hi])
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            scans = runtime.map_tasks(_task_bloom_scan, tasks)
-        for e1_s, e2_s, charge in scans:
-            if len(charge):
-                loss_edges.append(e1_s)
-                loss_values.append(charge)
-                loss_edges.append(e2_s)
-                loss_values.append(charge)
-        engine.bloom_k[touched] -= c_removed
-
-        # Apply — order-independent merge, floored at the level minimum;
-        # the same helper the in-process batch step uses, so the two paths
-        # cannot drift apart.
-        with obs_phases.phase("apply losses"):
-            engine._apply_losses(loss_edges, loss_values, mbs, queue, counter)
-    finally:
-        in_batch[batch_arr] = False
+    # Apply — order-independent merge, floored at the level minimum;
+    # the same helper the in-process batch step uses, so the two paths
+    # cannot drift apart.
+    with obs_phases.phase("apply losses"):
+        engine._apply_losses(loss_edges, loss_values, mbs, frontier, counter)
 
 
 # ------------------------------------------------------------- algorithm
@@ -260,7 +233,6 @@ def bit_bu_par(
     counter: Optional[UpdateCounter] = None,
     timer: Optional[PhaseTimer] = None,
     size_model: Optional[IndexSizeModel] = None,
-    scalar_cutoff: int = 24,
     shard_cutoff: int = 2048,
     chunks_per_worker: int = 4,
     runtime: Optional[ParallelRuntime] = None,
@@ -283,9 +255,9 @@ def bit_bu_par(
         CLI default ``--workers 1`` promises.
     counter, timer, size_model:
         Optional instrumentation sinks (see :mod:`repro.utils.stats`).
-    scalar_cutoff, shard_cutoff:
-        Level-size crossovers: scalar walk up to ``scalar_cutoff``,
-        parent-only vectorized up to ``shard_cutoff``, sharded waves above.
+    shard_cutoff:
+        Level-size crossover: parent-only batch step up to
+        ``shard_cutoff`` edges, sharded waves above.
     chunks_per_worker:
         Over-partitioning factor of the counting/build shards.
     runtime:
@@ -299,11 +271,7 @@ def bit_bu_par(
         raise ValueError("runtime was built for a different graph")
     if runtime is None and (workers == 1 or graph.num_edges == 0):
         return bit_bu_csr(
-            graph,
-            counter=counter,
-            timer=timer,
-            size_model=size_model,
-            scalar_cutoff=scalar_cutoff,
+            graph, counter=counter, timer=timer, size_model=size_model
         )
     timer = timer if timer is not None else PhaseTimer()
     size_model = size_model if size_model is not None else IndexSizeModel()
@@ -323,7 +291,6 @@ def bit_bu_par(
                 engine,
                 rt,
                 counter=counter,
-                scalar_cutoff=scalar_cutoff,
                 shard_cutoff=shard_cutoff,
             )
     finally:

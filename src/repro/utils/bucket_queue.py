@@ -9,6 +9,11 @@ with a monotone scan pointer gives amortized O(1) ``pop_min`` plus O(1)
 
 Keys may be arbitrarily large (butterfly supports reach millions), so the
 buckets live in a dict rather than a dense list.
+
+Users: the paper-reference peels (BiT-BS, BiT-BU, BiT-BU+, BiT-BU++,
+BiT-PC, tip decomposition) and the incremental repair's ``peel_region``.
+The CSR engine (``bit-bu-csr``/``bit-bu-par``) does not use it: its queue
+is the array frontier :class:`repro.core.peeling_engine.PeelFrontier`.
 """
 
 from __future__ import annotations

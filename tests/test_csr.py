@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.bit_bu import bit_bu
-from repro.core.bit_bu_batch import bit_bu_csr
+from repro.core.bit_bu_batch import bit_bu_csr, bit_bu_plus_plus
 from repro.core.peeling_engine import CSRPeelingEngine
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import (
@@ -129,12 +129,8 @@ class TestCSRAgreesWithLegacyAccessors:
 class TestBatchPeelingExactness:
     def _assert_identical(self, graph):
         expected = bit_bu(graph).phi
-        vectorized = bit_bu_csr(graph, scalar_cutoff=0).phi
-        scalar = bit_bu_csr(graph, scalar_cutoff=10**9).phi
-        hybrid = bit_bu_csr(graph).phi
-        np.testing.assert_array_equal(expected, vectorized)
-        np.testing.assert_array_equal(expected, scalar)
-        np.testing.assert_array_equal(expected, hybrid)
+        np.testing.assert_array_equal(expected, bit_bu_csr(graph).phi)
+        np.testing.assert_array_equal(expected, bit_bu_plus_plus(graph).phi)
 
     def test_identical_on_figure1(self, figure1):
         self._assert_identical(figure1)
@@ -161,9 +157,9 @@ class TestBatchPeelingExactness:
     @given(bipartite_graphs())
     @settings(max_examples=25, deadline=None)
     def test_identical_property(self, graph):
-        np.testing.assert_array_equal(
-            bit_bu(graph).phi, bit_bu_csr(graph, scalar_cutoff=3).phi
-        )
+        expected = bit_bu(graph).phi
+        np.testing.assert_array_equal(expected, bit_bu_csr(graph).phi)
+        np.testing.assert_array_equal(expected, bit_bu_plus_plus(graph).phi)
 
 
 class TestEngineInternals:
@@ -191,6 +187,38 @@ class TestEngineInternals:
         assert "peeling" in result.stats.timings
         assert counter.total > 0
         assert result.stats.index_peak_bytes > 0
+
+    @pytest.mark.parametrize(
+        "name,total,buckets",
+        [
+            ("figure4", 1, [0, 0, 0, 1]),
+            ("medium_random", 1258, [108, 736, 299, 115]),
+            ("d-style", 50349, [19624, 4895, 19531, 6299]),
+        ],
+    )
+    def test_update_counts_pinned(self, name, total, buckets):
+        """One update per (edge, batch) support change.  The pinned totals
+        (bucketed at quarters of the maximum original support) are those
+        the engine recorded when it still peeled through ``BucketQueue``."""
+        from repro.butterfly.vectorized import count_per_edge_vectorized
+        from repro.datasets import load_dataset
+        from repro.graph.generators import paper_figure4_graph
+        from repro.utils.stats import UpdateCounter
+
+        graph = {
+            "figure4": paper_figure4_graph,
+            "medium_random": lambda: erdos_renyi_bipartite(30, 25, 220, seed=99),
+            "d-style": lambda: load_dataset("d-style"),
+        }[name]()
+        support = count_per_edge_vectorized(graph)
+        top = int(support.max())
+        counter = UpdateCounter(
+            original_supports=support,
+            bucket_bounds=[top * i // 4 for i in (1, 2, 3)],
+        )
+        bit_bu_csr(graph, counter=counter)
+        assert counter.total == total
+        assert counter.bucket_totals() == buckets
 
     def test_registered_in_api(self, figure4):
         from repro.core.api import ALGORITHMS, bitruss_decomposition

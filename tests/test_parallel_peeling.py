@@ -51,10 +51,10 @@ GENERATOR_GRAPHS = [
 def test_phi_matches_bu_plus_plus(name, builder, workers):
     graph = builder()
     reference = bit_bu_plus_plus(graph)
-    # Tiny cutoffs force the sharded level path through the pool even on
-    # these small graphs — otherwise the parent-only fallbacks would be the
+    # A tiny cutoff forces the sharded level path through the pool even on
+    # these small graphs — otherwise the parent-only batch step would be the
     # only thing exercised.
-    parallel = bit_bu_par(graph, workers=workers, scalar_cutoff=4, shard_cutoff=16)
+    parallel = bit_bu_par(graph, workers=workers, shard_cutoff=16)
     assert_phi_equal(
         reference.phi, parallel.phi, f"({name}, workers={workers})"
     )
@@ -78,7 +78,7 @@ def test_phi_matches_csr_on_dense_workload():
 @given(graph=bipartite_graphs())
 def test_phi_matches_on_random_graphs(graph):
     reference = bit_bu_plus_plus(graph)
-    parallel = bit_bu_par(graph, workers=2, scalar_cutoff=2, shard_cutoff=8)
+    parallel = bit_bu_par(graph, workers=2, shard_cutoff=8)
     assert_phi_equal(reference.phi, parallel.phi, "(hypothesis graph)")
 
 

@@ -2,7 +2,10 @@
 
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.stats import (
     DecompositionStats,
@@ -38,6 +41,30 @@ class TestUpdateCounter:
         c.record(0)
         c.record(1)
         assert c.bucket_totals() == [1, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        supports=st.lists(st.integers(0, 50), min_size=1, max_size=30),
+        bounds=st.lists(st.integers(0, 60), max_size=5, unique=True).map(sorted),
+        data=st.data(),
+    )
+    def test_record_many_equals_repeated_record(self, supports, bounds, data):
+        edges = data.draw(
+            st.lists(st.integers(0, len(supports) - 1), max_size=40)
+        )
+        bucketed = bool(bounds) and data.draw(st.booleans())
+        kwargs = (
+            {"original_supports": supports, "bucket_bounds": bounds}
+            if bucketed
+            else {}
+        )
+        one_by_one = UpdateCounter(**kwargs)
+        for edge in edges:
+            one_by_one.record(edge)
+        batched = UpdateCounter(**kwargs)
+        batched.record_many(np.array(edges, dtype=np.int64))
+        assert batched.total == one_by_one.total == len(edges)
+        assert batched.bucket_totals() == one_by_one.bucket_totals()
 
 
 class TestPhaseTimer:
