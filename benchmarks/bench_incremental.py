@@ -215,9 +215,7 @@ def _batch_phase(name, dyn, tracker, phi0, rng, edges):
 
 def _bench_dataset(name):
     graph = load_dataset(name)
-    dyn = DynamicBipartiteGraph(
-        graph.num_upper, graph.num_lower, list(graph.edges())
-    )
+    dyn = DynamicBipartiteGraph.from_graph(graph)
 
     # The baseline: one full rebuild (snapshot + decomposition), exactly
     # what the debounced refresh loop pays per mutation burst.

@@ -31,8 +31,9 @@ silently answer from a φ computed against an older snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, KeysView, List, Optional, Set, Tuple
 
+from repro.butterfly.vectorized import count_per_edge_vectorized
 from repro.core.api import bitruss_decomposition
 from repro.core.result import BitrussDecomposition
 from repro.graph.bipartite import BipartiteGraph
@@ -41,6 +42,14 @@ if TYPE_CHECKING:  # pragma: no cover - circular-import guard
     from repro.maintenance.incremental import IncrementalBitruss, RepairReport
 
 Edge = Tuple[int, int]
+
+
+def _row_sets(csr) -> List[Set[int]]:
+    """One neighbour set per CSR row, each built in its row's slot order."""
+    indptr, indices, _eids = csr
+    bounds = indptr.tolist()
+    nbrs = indices.tolist()
+    return [set(nbrs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -89,9 +98,10 @@ class DynamicBipartiteGraph:
         Layer capacities (grow with :meth:`add_upper_vertex` /
         :meth:`add_lower_vertex`).
     edges:
-        Initial edges; their supports are computed by pairwise accumulation
-        during insertion, so construction costs the same as replaying the
-        inserts.
+        Initial edges, validated like :class:`BipartiteGraph` input
+        (``ValueError`` on an out-of-range endpoint or a duplicate).  The
+        mirror is seeded as in :meth:`from_graph`: supports from the
+        vectorized wedge kernel, adjacency from the CSR rows.
 
     Examples
     --------
@@ -112,19 +122,48 @@ class DynamicBipartiteGraph:
         self,
         num_upper: int,
         num_lower: int,
-        edges: Optional[List[Edge]] = None,
+        edges: Optional[Iterable[Edge]] = None,
     ) -> None:
-        if num_upper < 0 or num_lower < 0:
-            raise ValueError("layer sizes must be non-negative")
-        self._n_u = num_upper
-        self._n_l = num_lower
-        self._adj_u: List[Set[int]] = [set() for _ in range(num_upper)]
-        self._adj_l: List[Set[int]] = [set() for _ in range(num_lower)]
-        self._support: Dict[Edge, int] = {}
+        # BipartiteGraph does the range and duplicate checks (ValueError).
+        graph = BipartiteGraph(num_upper, num_lower, () if edges is None else edges)
+        self._seed(graph)
+
+    @classmethod
+    def from_graph(cls, graph: BipartiteGraph) -> "DynamicBipartiteGraph":
+        """A mutable mirror of ``graph``, seeded from its arrays.
+
+        Supports come from one call of the vectorized wedge kernel and
+        adjacency from the CSR rows, so no insert is replayed.  The result
+        equals inserting ``graph``'s edges one by one in edge-id order,
+        down to set iteration order and support key order.
+
+        Examples
+        --------
+        >>> g = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
+        >>> dyn = DynamicBipartiteGraph.from_graph(g)
+        >>> dyn.supports()
+        {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1, (1, 2): 0}
+        >>> sorted(dyn.neighbors_of_upper(1))
+        [0, 1, 2]
+        """
+        self = cls.__new__(cls)
+        self._seed(graph)
+        return self
+
+    def _seed(self, graph: BipartiteGraph) -> None:
+        """Install ``graph``'s edges with their supports; no watchers yet.
+
+        Each CSR row lists its neighbours in edge-id order, so building a
+        row's set from its slice adds them in the order a replay would.
+        """
+        support = count_per_edge_vectorized(graph).tolist()
+        self._n_u = graph.num_upper
+        self._n_l = graph.num_lower
+        self._adj_u: List[Set[int]] = _row_sets(graph.csr_upper())
+        self._adj_l: List[Set[int]] = _row_sets(graph.csr_lower())
+        self._support: Dict[Edge, int] = dict(zip(graph.edges(), support))
         self._watchers: List[object] = []
         self._tracker: Optional["IncrementalBitruss"] = None
-        for u, v in edges or ():
-            self.insert_edge(u, v)
 
     # ----------------------------------------------------- staleness hooks
 
@@ -234,6 +273,10 @@ class DynamicBipartiteGraph:
     def supports(self) -> Dict[Edge, int]:
         """Snapshot of all current supports."""
         return dict(self._support)
+
+    def edge_keys(self) -> KeysView[Edge]:
+        """Live set-like view of the current edges (no copy)."""
+        return self._support.keys()
 
     def _butterfly_partners(self, u: int, v: int) -> List[Tuple[int, int]]:
         """All ``(w, x)`` completing a butterfly with ``(u, v)`` (current)."""

@@ -325,11 +325,11 @@ class IncrementalBitruss:
 
     def _check_coverage(self, phi: Optional[Dict[Edge, int]] = None) -> None:
         candidate = self._phi if phi is None else phi
-        supports = self._dyn.supports()
-        if set(candidate) != set(supports):
+        edges = self._dyn.edge_keys()
+        if candidate.keys() != edges:
             raise ValueError(
                 "phi must cover exactly the current edges of the graph "
-                f"({len(candidate)} phi entries vs {len(supports)} edges)"
+                f"({len(candidate)} phi entries vs {len(edges)} edges)"
             )
 
     def phi_of(self, u: int, v: int) -> int:

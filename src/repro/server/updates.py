@@ -157,8 +157,9 @@ class UpdateManager:
     ) -> DynamicBipartiteGraph:
         """Make a hosted dataset mutable.
 
-        Builds a dynamic mirror by replaying the live artifact's edges
-        (unless ``dynamic`` is supplied), flips the entry to
+        Seeds a dynamic mirror from the live artifact's graph arrays
+        (:meth:`~repro.maintenance.dynamic.DynamicBipartiteGraph.from_graph`;
+        unless ``dynamic`` is supplied), flips the entry to
         ``allow_stale`` serving, and subscribes the live engine to the
         mirror's invalidation feed — a mutation marks the served artifact
         stale (visible in ``/metrics``) until the rebuild lands.
@@ -167,12 +168,7 @@ class UpdateManager:
         if name in self._dynamics:
             raise ValueError(f"dataset {name!r} is already mutable")
         if dynamic is None:
-            graph = entry.artifact.graph
-            dynamic = DynamicBipartiteGraph(
-                graph.num_upper,
-                graph.num_lower,
-                [graph.edge_endpoints(e) for e in range(graph.num_edges)],
-            )
+            dynamic = DynamicBipartiteGraph.from_graph(entry.artifact.graph)
         entry.allow_stale = True
         entry.engine.allow_stale = True
         dynamic.register_artifact(entry.engine)

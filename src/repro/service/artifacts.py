@@ -116,12 +116,19 @@ def phi_by_endpoints(graph: BipartiteGraph, phi: np.ndarray) -> Dict:
     The id-stable form the incremental maintenance layer tracks: edge ids
     are reassigned whenever a snapshot resorts, endpoints never are.  Used
     to seed and reseed :class:`~repro.maintenance.incremental.IncrementalBitruss`
-    from any (graph, φ) pair.
+    from any (graph, φ) pair.  Keys come in edge-id order; values are
+    plain ``int``.
+
+    Examples
+    --------
+    >>> from repro.core.api import bitruss_decomposition
+    >>> from repro.graph.generators import paper_figure4_graph
+    >>> result = bitruss_decomposition(paper_figure4_graph())
+    >>> phi = phi_by_endpoints(result.graph, result.phi)
+    >>> len(phi), list(phi.items())[:3]
+    (11, [((0, 0), 2), ((0, 1), 2), ((1, 0), 2)])
     """
-    return {
-        graph.edge_endpoints(eid): int(phi[eid])
-        for eid in range(graph.num_edges)
-    }
+    return dict(zip(graph.edges(), np.asarray(phi).tolist()))
 
 
 @dataclass

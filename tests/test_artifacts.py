@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.core.api import bitruss_decomposition
-from repro.datasets import load_dataset
+from repro.datasets import dataset_names, load_dataset
+from repro.graph.bipartite import BipartiteGraph
 from repro.service.artifacts import (
     ArtifactError,
     ArtifactIntegrityError,
@@ -15,8 +16,44 @@ from repro.service.artifacts import (
     build_artifact,
     graph_sha256,
     load_artifact,
+    phi_by_endpoints,
     save_artifact,
 )
+
+
+def _phi_by_endpoints_per_edge(graph, phi):
+    """The per-edge reference form of :func:`phi_by_endpoints`."""
+    return {
+        graph.edge_endpoints(eid): int(phi[eid])
+        for eid in range(graph.num_edges)
+    }
+
+
+@pytest.mark.parametrize("name", dataset_names())
+def test_phi_by_endpoints_matches_per_edge_form(name):
+    dataset = load_dataset(name)
+    # The bundled graphs list edges sorted; the shuffled copy checks that
+    # keys follow edge ids, not endpoint order.
+    order = np.random.default_rng(0).permutation(dataset.num_edges)
+    shuffled = BipartiteGraph(
+        dataset.num_upper,
+        dataset.num_lower,
+        np.stack((dataset.edge_upper, dataset.edge_lower), axis=1)[order],
+    )
+    for graph in (dataset, shuffled):
+        # Distinct per edge, so a misaligned key/value pairing cannot hide.
+        phi = np.arange(graph.num_edges, dtype=np.int64)[::-1]
+        got = phi_by_endpoints(graph, phi)
+        assert list(got.items()) == list(
+            _phi_by_endpoints_per_edge(graph, phi).items()
+        )
+        assert all(type(k) is int for edge in got for k in edge)
+        assert all(type(v) is int for v in got.values())
+
+
+def test_phi_by_endpoints_edgeless_graph():
+    graph = BipartiteGraph(3, 2)
+    assert phi_by_endpoints(graph, np.zeros(0, dtype=np.int64)) == {}
 
 
 @pytest.fixture
