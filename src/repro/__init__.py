@@ -28,7 +28,6 @@ from repro.core.result import (
 from repro.core.tip import tip_decomposition
 from repro.graph.bipartite import BipartiteGraph
 from repro.index.be_index import BEIndex
-from repro.runtime import ParallelRuntime
 from repro.service import (
     DecompositionArtifact,
     QueryEngine,
@@ -49,7 +48,6 @@ __all__ = [
     "BipartiteGraph",
     "BitrussDecomposition",
     "DecompositionArtifact",
-    "ParallelRuntime",
     "QueryEngine",
     "__version__",
     "bitruss_decomposition",

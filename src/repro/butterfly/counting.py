@@ -72,15 +72,11 @@ def count_per_edge(
     graph: BipartiteGraph,
     *,
     priorities: Optional[np.ndarray] = None,
-    start_range: Optional[Tuple[int, int]] = None,
 ) -> np.ndarray:
     """Butterfly support of every edge, by vertex-priority wedge processing.
 
     Returns an ``int64`` array indexed by edge id.  ``priorities`` may be
-    supplied to reuse a precomputed Definition 7 ranking.  ``start_range``
-    restricts the traversal to start vertices in ``[lo, hi)`` and returns
-    the *partial* supports contributed by those starts — the parallel
-    counter sums such partials across workers.
+    supplied to reuse a precomputed Definition 7 ranking.
     """
     prio = priorities if priorities is not None else graph.priorities()
     indptr, nbr_arr, eid_arr, row_prios = graph.csr_gid_sorted_with_prios(
@@ -88,10 +84,7 @@ def count_per_edge(
     )
     support = np.zeros(graph.num_edges, dtype=np.int64)
 
-    lo_bound, hi_bound = (
-        (0, graph.num_vertices) if start_range is None else start_range
-    )
-    for start in range(lo_bound, hi_bound):
+    for start in range(graph.num_vertices):
         wedges = collect_wedges(indptr, nbr_arr, eid_arr, row_prios, prio, start)
         if wedges is None:
             continue

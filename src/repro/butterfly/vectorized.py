@@ -35,8 +35,7 @@ def count_per_edge_vectorized(
 
     Exactly equivalent to :func:`repro.butterfly.counting.count_per_edge`.
     """
-    n = graph.num_vertices
-    if n == 0 or graph.num_edges == 0:
+    if graph.num_vertices == 0 or graph.num_edges == 0:
         return np.zeros(graph.num_edges, dtype=np.int64)
     prio = (
         np.asarray(priorities) if priorities is not None else graph.priorities()
@@ -46,15 +45,5 @@ def count_per_edge_vectorized(
     )
     with obs_phases.phase("butterfly counting"):
         return support_on_arrays(
-            indptr, neighbors, edge_ids, row_prios, prio, graph.num_edges, 0, n
+            indptr, neighbors, edge_ids, row_prios, prio, graph.num_edges
         )
-
-
-def count_total_vectorized(
-    graph: BipartiteGraph,
-    *,
-    priorities: Optional[np.ndarray] = None,
-) -> int:
-    """Total butterfly count via the vectorized traversal."""
-    support = count_per_edge_vectorized(graph, priorities=priorities)
-    return int(support.sum()) // 4

@@ -39,7 +39,7 @@ build) and :func:`support_on_arrays` (per-edge counting) both consume
 >>> g = paper_figure4_graph()
 >>> indptr, neighbors, edge_ids, row_prios = g.csr_gid_sorted_with_prios()
 >>> support = support_on_arrays(indptr, neighbors, edge_ids, row_prios,
-...                             g.priorities(), g.num_edges, 0, g.num_vertices)
+...                             g.priorities(), g.num_edges)
 >>> bool((support == count_per_edge_naive(g)).all())
 True
 """
@@ -69,24 +69,17 @@ def bloom_blocks(
     edge_ids: np.ndarray,
     row_prios: np.ndarray,
     prio: np.ndarray,
-    start_lo: int,
-    start_hi: int,
 ) -> Iterator[BloomBlock]:
-    """Maximal priority-obeyed blooms anchored in ``[start_lo, start_hi)``.
+    """Every maximal priority-obeyed bloom of the graph.
 
     Works on the raw priority-sorted gid-CSR arrays
-    (``csr_gid_sorted_with_prios``) plus the per-vertex priorities, so
-    shared-memory workers can run it against attached views.  Yields one
-    :data:`BloomBlock` per non-empty block of at most :data:`WEDGE_BUDGET`
-    wedges; blocks come in ascending start order.
+    (``csr_gid_sorted_with_prios``) plus the per-vertex priorities.
+    Yields one :data:`BloomBlock` per non-empty block of at most
+    :data:`WEDGE_BUDGET` wedges; blocks come in ascending start order.
     """
     n = len(indptr) - 1
-    if start_hi <= start_lo:
+    if n == 0:
         return
-    if start_lo < 0 or start_hi > n:
-        raise IndexError(
-            f"start range [{start_lo}, {start_hi}) outside [0, {n})"
-        )
     prio = np.asarray(prio)
     if not np.issubdtype(prio.dtype, np.integer) or np.ptp(prio) >= n:
         # Only the order of priorities matters: rank them densely, so that
@@ -106,15 +99,15 @@ def bloom_blocks(
     key -= base
 
     # Start -> middle cut: sm_ptr[i] numbers the start-middle slots (u, v)
-    # of starts before start_lo + i.
-    sm_ptr = np.zeros(start_hi - start_lo + 1, dtype=np.int64)
+    # of starts before i.
+    sm_ptr = np.zeros(n + 1, dtype=np.int64)
     query = sm_ptr[1:]
-    query[:] = np.arange(start_lo, start_hi)
+    query[:] = np.arange(n)
     query *= span
-    query += prio[start_lo:start_hi]
+    query += prio
     query -= base
     cut = np.searchsorted(key, query)
-    row_lo = indptr[start_lo:start_hi]
+    row_lo = indptr[:n]
     cut -= row_lo
     np.cumsum(cut, out=sm_ptr[1:])
     del cut
@@ -128,7 +121,7 @@ def bloom_blocks(
         mids = neighbors[sm_slot]
         end_lo = indptr[mids]
         mids *= span
-        mids += np.repeat(prio[start_lo + c0 : start_lo + c1] - base, num_mid)
+        mids += np.repeat(prio[c0:c1] - base, num_mid)
         num_end = np.searchsorted(key, mids)
         del mids
         num_end -= end_lo
@@ -205,18 +198,15 @@ def support_on_arrays(
     row_prios: np.ndarray,
     prio: np.ndarray,
     num_edges: int,
-    start_lo: int,
-    start_hi: int,
 ) -> np.ndarray:
-    """Partial per-edge supports from start vertices in ``[start_lo, start_hi)``.
+    """Per-edge butterfly supports from every bloom's charges.
 
-    Summing the partial arrays of a disjoint start-range partition gives
-    the full supports exactly (every butterfly belongs to the bloom of
-    exactly one start, Lemma 3).
+    Every butterfly belongs to the bloom of exactly one start vertex
+    (Lemma 3), so each is counted once.
     """
     support = np.zeros(num_edges, dtype=np.int64)
     for mid_edges, end_edges, bloom_k in bloom_blocks(
-        indptr, neighbors, edge_ids, row_prios, prio, start_lo, start_hi
+        indptr, neighbors, edge_ids, row_prios, prio
     ):
         add_bloom_support(support, mid_edges, end_edges, bloom_k)
     return support

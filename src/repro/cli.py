@@ -30,16 +30,14 @@ Examples
 ::
 
     repro-bitruss decompose --dataset github --algorithm pc --tau 0.05
-    repro-bitruss decompose --dataset github --workers 4
     repro-bitruss decompose graph.txt --base 1 --output phi.txt
     repro-bitruss stats --dataset d-style
     repro-bitruss generate d-label d-label.txt
     repro-bitruss index --dataset github --algorithm bu-csr --output github.npz
-    repro-bitruss index --dataset github --workers 4 --output github.npz
     repro-bitruss query github.npz community -k 4 --upper 17
     repro-bitruss query github.npz k-bitruss -k 6 --output h6.txt
     repro-bitruss serve --dataset github --dataset marvel --port 8642
-    repro-bitruss serve --artifact github.npz --mutable --workers 4
+    repro-bitruss serve --artifact github.npz --mutable
     repro-bitruss trace --slowest 5
     repro-bitruss trace --id 4b5dd1e06c15a4f1 --export-chrome trace.json
     repro-bitruss gen chung-lu --upper 500000 --lower 500000 \
@@ -47,11 +45,6 @@ Examples
     repro-bitruss index scale.txt.gz --streaming --algorithm bu-csr \
         --output scale_artifact
     repro-bitruss query scale_artifact --mmap stats
-
-``decompose`` and ``index`` accept ``--workers N`` (default 1): with more
-than one worker the shared-memory runtime (:mod:`repro.runtime`) shards
-the work across a persistent zero-copy process pool via the
-``bit-bu-par`` algorithm.
 
 The million-edge path: every file-input command accepts ``--streaming``
 (chunked numpy ingestion, no Python list of pairs); ``index --output``
@@ -131,38 +124,6 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_algorithm(args: argparse.Namespace, serial_default: str) -> str:
-    """Resolve the ``--algorithm/--workers`` pair to an algorithm name.
-
-    ``--workers N`` with N > 1 selects the shared-memory runtime, which
-    only ``bit-bu-par`` implements: when the user left ``--algorithm`` at
-    its default, it resolves to ``bit-bu-par``; an explicit serial choice
-    plus ``--workers`` is a contradiction and exits with guidance instead
-    of silently running single-core.
-    """
-    from repro.core.api import ALGORITHMS, PARALLEL_ALGORITHMS
-
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        raise SystemExit("--workers must be a positive integer")
-    if workers > 1:
-        from repro.runtime import is_available
-
-        if not is_available():
-            raise SystemExit(
-                "--workers needs POSIX shared memory, which this platform "
-                "lacks; rerun with --workers 1 (the scalar path)"
-            )
-    if args.algorithm is None:
-        return "bit-bu-par" if workers > 1 else serial_default
-    if workers > 1 and ALGORITHMS[args.algorithm] not in PARALLEL_ALGORITHMS:
-        raise SystemExit(
-            f"--workers {workers} needs a parallel-capable algorithm; "
-            f"drop --algorithm {args.algorithm} or use --algorithm bu-par"
-        )
-    return args.algorithm
-
-
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.profile:
         obs_phases.reset()
@@ -172,9 +133,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     counter = UpdateCounter()
     result = bitruss_decomposition(
         graph,
-        algorithm=_resolve_algorithm(args, "bit-bu++"),
+        algorithm=args.algorithm,
         tau=args.tau,
-        workers=args.workers,
         counter=counter,
     )
     with obs_phases.phase("hierarchy"):
@@ -435,9 +395,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
         graph = _load_graph(args)
     artifact = build_artifact(
         graph,
-        algorithm=_resolve_algorithm(args, "bit-bu++"),
+        algorithm=args.algorithm,
         tau=args.tau,
-        workers=args.workers,
     )
     with obs_phases.phase("save artifact"):
         save_artifact(artifact, args.output)
@@ -638,8 +597,7 @@ def _build_serve_registry(args: argparse.Namespace):
         _say(f"building artifact for dataset {name!r} ...")
         artifact = build_artifact(
             datasets.load_dataset(name),
-            algorithm=_resolve_algorithm(args, "bit-bu-csr"),
-            workers=args.workers,
+            algorithm=args.algorithm,
         )
         sources[name] = artifact
     for spec in artifacts:
@@ -671,11 +629,10 @@ def _build_serve_registry(args: argparse.Namespace):
         updates = UpdateManager(
             registry,
             debounce=args.debounce,
-            workers=args.workers,
-            # Rebuilds must honour the same --algorithm/--workers choice as
-            # the startup builds, or the served artifact silently changes
+            # Rebuilds must honour the same --algorithm choice as the
+            # startup builds, or the served artifact silently changes
             # algorithm (and rebuild latency) after the first mutation.
-            algorithm=_resolve_algorithm(args, "bit-bu-csr"),
+            algorithm=args.algorithm,
             incremental=args.rebuild_threshold > 0,
             rebuild_threshold=args.rebuild_threshold,
             max_incremental_batch=args.max_incremental_batch,
@@ -746,16 +703,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if not 0 <= args.port <= 65535:
         raise SystemExit(f"--port {args.port} is outside [0, 65535]")
-    if args.workers < 1:
-        raise SystemExit("--workers must be a positive integer")
-    if args.workers > 1:
-        from repro.runtime import is_available
-
-        if not is_available():
-            raise SystemExit(
-                "--workers needs POSIX shared memory, which this platform "
-                "lacks; rerun with --workers 1 (the scalar path)"
-            )
     if args.window_ms < 0:
         raise SystemExit("--window-ms must be non-negative")
     if args.debounce < 0:
@@ -1109,18 +1056,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p_dec)
     p_dec.add_argument(
         "--algorithm",
-        default=None,
+        default="bit-bu++",
         choices=sorted(ALGORITHMS),
-        help="decomposition algorithm (default bit-bu++; "
-        "bit-bu-par when --workers > 1)",
-    )
-    p_dec.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the shared-memory runtime "
-        "(default 1 = in-process scalar path)",
+        help="decomposition algorithm (default bit-bu++)",
     )
     p_dec.add_argument("--tau", type=float, default=0.02, help="BiT-PC tau")
     p_dec.add_argument("--output", help="write per-edge bitruss numbers here")
@@ -1226,18 +1164,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p_idx)
     p_idx.add_argument(
         "--algorithm",
-        default=None,
+        default="bit-bu++",
         choices=sorted(ALGORITHMS),
-        help="decomposition algorithm (default bit-bu++; "
-        "bit-bu-par when --workers > 1)",
-    )
-    p_idx.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the offline build "
-        "(default 1 = in-process scalar path)",
+        help="decomposition algorithm (default bit-bu++)",
     )
     p_idx.add_argument("--tau", type=float, default=0.02, help="BiT-PC tau")
     # An --output flag, not a second positional: the input path is already
@@ -1372,18 +1301,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--algorithm",
-        default=None,
+        default="bit-bu-csr",
         choices=sorted(ALGORITHMS),
-        help="build algorithm for --dataset entries (default bit-bu-csr; "
-        "bit-bu-par when --workers > 1)",
-    )
-    p_srv.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for builds and background rebuilds "
-        "(default 1 = scalar path)",
+        help="build algorithm for --dataset entries (default bit-bu-csr)",
     )
     p_srv.add_argument(
         "--cache-size",

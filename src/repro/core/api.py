@@ -14,8 +14,7 @@ from repro.utils.stats import IndexSizeModel, PhaseTimer, UpdateCounter
 
 #: Registry of algorithm names accepted by :func:`bitruss_decomposition`.
 #: Aliases follow the paper's figures: BS, BU, BU+, BU++, PC — plus the
-#: library's CSR batch-peeling engine (BU-CSR) and its shared-memory
-#: parallel sibling (BU-PAR).
+#: library's CSR batch-peeling engine (BU-CSR).
 ALGORITHMS: Dict[str, str] = {
     "bit-bs": "bit-bs",
     "bs": "bit-bs",
@@ -28,15 +27,9 @@ ALGORITHMS: Dict[str, str] = {
     "bit-bu-csr": "bit-bu-csr",
     "bu-csr": "bit-bu-csr",
     "csr": "bit-bu-csr",
-    "bit-bu-par": "bit-bu-par",
-    "bu-par": "bit-bu-par",
-    "par": "bit-bu-par",
     "bit-pc": "bit-pc",
     "pc": "bit-pc",
 }
-
-#: Canonical names that honour ``workers > 1`` (the shared-memory runtime).
-PARALLEL_ALGORITHMS = frozenset({"bit-bu-par"})
 
 
 def bitruss_decomposition(
@@ -45,7 +38,6 @@ def bitruss_decomposition(
     *,
     tau: float = 0.02,
     prefilter: str = "fixpoint",
-    workers: int = 1,
     counter: Optional[UpdateCounter] = None,
     timer: Optional[PhaseTimer] = None,
     size_model: Optional[IndexSizeModel] = None,
@@ -59,11 +51,10 @@ def bitruss_decomposition(
     algorithm : str, optional
         One of ``"bit-bs"``, ``"bit-bu"``, ``"bit-bu+"``, ``"bit-bu++"``
         (default; the paper's best bottom-up variant), ``"bit-bu-csr"``
-        (the vectorized batch-peeling engine — fastest on dense graphs),
-        ``"bit-bu-par"`` (the shared-memory parallel runtime; see
-        ``workers``) or ``"bit-pc"`` (best on graphs with strong hub
-        edges).  Short aliases ``bs``, ``bu``, ``bu+``, ``bu++``,
-        ``bu-csr``, ``csr``, ``bu-par``, ``par``, ``pc`` are accepted.
+        (the vectorized batch-peeling engine — fastest on dense graphs) or
+        ``"bit-pc"`` (best on graphs with strong hub edges).  Short aliases
+        ``bs``, ``bu``, ``bu+``, ``bu++``, ``bu-csr``, ``csr``, ``pc`` are
+        accepted.
         All algorithms produce identical bitruss numbers.
     tau : float, optional
         BiT-PC's threshold-decay parameter (ignored by other algorithms);
@@ -71,12 +62,6 @@ def bitruss_decomposition(
     prefilter : str, optional
         BiT-PC's candidate-filter mode, ``"fixpoint"`` (default) or the
         paper-literal ``"single-pass"``; see :func:`repro.core.bit_pc.bit_pc`.
-    workers : int, optional
-        Worker-process count for parallel-capable algorithms (currently
-        ``"bit-bu-par"``); the default 1 always takes the in-process
-        scalar path.  Passing ``workers > 1`` with a serial algorithm
-        raises :class:`ValueError` rather than silently ignoring the
-        request.
     counter, timer, size_model : optional
         Optional instrumentation sinks (see :mod:`repro.utils.stats`);
         fresh ones are created when omitted and are always reachable via the
@@ -104,23 +89,6 @@ def bitruss_decomposition(
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose one of "
             f"{sorted(set(ALGORITHMS.values()))}"
-        )
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    if workers > 1 and canonical not in PARALLEL_ALGORITHMS:
-        raise ValueError(
-            f"algorithm {canonical!r} is single-process; use "
-            f"workers=1 or one of {sorted(PARALLEL_ALGORITHMS)}"
-        )
-    if canonical == "bit-bu-par":
-        from repro.runtime.parallel_peeling import bit_bu_par
-
-        return bit_bu_par(
-            graph,
-            workers=workers,
-            counter=counter,
-            timer=timer,
-            size_model=size_model,
         )
     if canonical == "bit-bs":
         return bit_bs(graph, counter=counter, timer=timer)

@@ -171,12 +171,6 @@ def peel_region(
     return phi
 
 
-#: One shard of the flat-array BE-Index under construction: the partial
-#: per-edge supports contributed by a contiguous start-vertex range plus the
-#: wedge pairs discovered there (bloom ids numbered locally from 0).
-BuildShard = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
 def build_shard_on_arrays(
     indptr: np.ndarray,
     neighbors: np.ndarray,
@@ -184,29 +178,22 @@ def build_shard_on_arrays(
     row_prios: np.ndarray,
     prio: np.ndarray,
     num_edges: int,
-    start_lo: int,
-    start_hi: int,
-) -> BuildShard:
-    """Algorithm 3 over one start-vertex range, on raw gid-CSR arrays.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Algorithm 3 over every start vertex, on raw gid-CSR arrays.
 
     The construction kernel underneath :meth:`CSRPeelingEngine.build`,
-    phrased over arrays (not a graph object) so shared-memory workers can
-    run it against attached views.  The blooms come from the wedge-block
-    kernel (:func:`repro.butterfly.wedges.bloom_blocks`).  Returns
-    ``(support, pair_e1, pair_e2, pair_bloom, bloom_k)`` where ``support``
-    is the full-length partial support array and ``pair_bloom`` numbers
-    blooms locally from 0 in discovery order.  Because maximal
-    priority-obeyed blooms are anchored at exactly one start vertex,
-    shards over a disjoint range partition compose losslessly: summing
-    supports and concatenating pair/bloom arrays in ascending range order
-    (with bloom-id offsets) reproduces the sequential build bit for bit.
+    phrased over arrays (not a graph object).  The blooms come from the
+    wedge-block kernel (:func:`repro.butterfly.wedges.bloom_blocks`).
+    Returns ``(support, pair_e1, pair_e2, pair_bloom, bloom_k)`` where
+    ``support`` is the per-edge butterfly support and ``pair_bloom``
+    numbers blooms from 0 in discovery order.
     """
     support = np.zeros(num_edges, dtype=np.int64)
     pair_e1_parts: List[np.ndarray] = []
     pair_e2_parts: List[np.ndarray] = []
     bloom_k_parts: List[np.ndarray] = []
     for mid_edges, end_edges, bloom_k in bloom_blocks(
-        indptr, neighbors, edge_ids, row_prios, prio, start_lo, start_hi
+        indptr, neighbors, edge_ids, row_prios, prio
     ):
         add_bloom_support(support, mid_edges, end_edges, bloom_k)
         pair_e1_parts.append(mid_edges)
@@ -293,9 +280,7 @@ class CSRPeelingEngine:
         sort and the per-edge supports scattered with ``np.add.at`` — no
         Python loop per vertex, and no Bloom dictionaries are ever
         materialized.  The traversal itself is one call to
-        :func:`build_shard_on_arrays` over the whole start range; the
-        shared-memory runtime builds the same engine from several
-        range shards (:meth:`from_shards`).
+        :func:`build_shard_on_arrays`.
         """
         prio = (
             np.asarray(priorities)
@@ -305,83 +290,38 @@ class CSRPeelingEngine:
         indptr, neighbors, edge_ids, row_prios = graph.csr_gid_sorted_with_prios(
             priorities
         )
+        m = graph.num_edges
         with obs_phases.phase("bloom discovery"):
-            shard = build_shard_on_arrays(
-                indptr,
-                neighbors,
-                edge_ids,
-                row_prios,
-                prio,
-                graph.num_edges,
-                0,
-                graph.num_vertices,
+            support, pair_e1, pair_e2, pair_bloom, bloom_k = build_shard_on_arrays(
+                indptr, neighbors, edge_ids, row_prios, prio, m
             )
         with obs_phases.phase("assemble"):
-            return cls.from_shards(graph.num_edges, [shard])
+            num_pairs = len(pair_bloom)
+            num_blooms = len(bloom_k)
 
-    @classmethod
-    def from_shards(
-        cls, num_edges: int, shards: List[BuildShard]
-    ) -> "CSRPeelingEngine":
-        """Assemble an engine from :func:`build_shard_on_arrays` outputs.
-
-        ``shards`` must cover a disjoint partition of the start-vertex
-        space and be listed in ascending range order; the assembled arrays
-        (bloom numbering included) are then bitwise identical to a
-        single-shard sequential build.
-        """
-        m = num_edges
-        support = np.zeros(m, dtype=np.int64)
-        pair_e1_parts: List[np.ndarray] = []
-        pair_e2_parts: List[np.ndarray] = []
-        pair_bloom_parts: List[np.ndarray] = []
-        bloom_k_parts: List[np.ndarray] = []
-        next_bloom = 0
-        for part_support, e1, e2, bloom_local, bloom_k_part in shards:
-            support += part_support
-            if len(bloom_local):
-                pair_e1_parts.append(e1)
-                pair_e2_parts.append(e2)
-                pair_bloom_parts.append(bloom_local + next_bloom)
-                bloom_k_parts.append(bloom_k_part)
-                next_bloom += len(bloom_k_part)
-
-        if pair_bloom_parts:
-            pair_e1 = np.concatenate(pair_e1_parts)
-            pair_e2 = np.concatenate(pair_e2_parts)
-            pair_bloom = np.concatenate(pair_bloom_parts)
-            bloom_k = np.concatenate(bloom_k_parts)
-        else:
-            pair_e1 = np.empty(0, dtype=np.int64)
-            pair_e2 = np.empty(0, dtype=np.int64)
-            pair_bloom = np.empty(0, dtype=np.int64)
-            bloom_k = np.empty(0, dtype=np.int64)
-
-        num_pairs = len(pair_bloom)
-        num_blooms = len(bloom_k)
-
-        # Edge -> pairs CSR (each pair appears under both of its edges).
-        link_edge = np.concatenate((pair_e1, pair_e2))
-        link_pair = np.concatenate(
-            (
-                np.arange(num_pairs, dtype=np.int64),
-                np.arange(num_pairs, dtype=np.int64),
+            # Edge -> pairs CSR (each pair appears under both of its edges).
+            link_edge = np.concatenate((pair_e1, pair_e2))
+            link_pair = np.concatenate(
+                (
+                    np.arange(num_pairs, dtype=np.int64),
+                    np.arange(num_pairs, dtype=np.int64),
+                )
             )
-        )
-        link_order = np.argsort(link_edge, kind="stable")
-        e_indptr = np.zeros(m + 1, dtype=np.int64)
-        if len(link_edge):
-            np.cumsum(np.bincount(link_edge, minlength=m), out=e_indptr[1:])
-        e_pair = link_pair[link_order]
+            link_order = np.argsort(link_edge, kind="stable")
+            e_indptr = np.zeros(m + 1, dtype=np.int64)
+            if len(link_edge):
+                np.cumsum(np.bincount(link_edge, minlength=m), out=e_indptr[1:])
+            e_pair = link_pair[link_order]
 
-        # Bloom -> pairs CSR.  Pairs are appended in non-decreasing bloom
-        # order, so the identity permutation is already grouped.
-        b_indptr = np.zeros(num_blooms + 1, dtype=np.int64)
-        if num_pairs:
-            np.cumsum(
-                np.bincount(pair_bloom, minlength=num_blooms), out=b_indptr[1:]
-            )
-        b_pair = np.arange(num_pairs, dtype=np.int64)
+            # Bloom -> pairs CSR.  Pairs are appended in non-decreasing
+            # bloom order, so the identity permutation is already grouped.
+            b_indptr = np.zeros(num_blooms + 1, dtype=np.int64)
+            if num_pairs:
+                np.cumsum(
+                    np.bincount(pair_bloom, minlength=num_blooms),
+                    out=b_indptr[1:],
+                )
+            b_pair = np.arange(num_pairs, dtype=np.int64)
 
         return cls(
             m,
@@ -489,23 +429,7 @@ class CSRPeelingEngine:
         loss_edges += [self.pair_e1[pairs_s], self.pair_e2[pairs_s]]
         loss_values += [charge_s, charge_s]
         self.bloom_k[touched] -= c_removed
-        self._apply_losses(loss_edges, loss_values, mbs, frontier, counter)
-
-    def _apply_losses(
-        self,
-        loss_edges: List[np.ndarray],
-        loss_values: List[np.ndarray],
-        mbs: int,
-        frontier: "PeelFrontier",
-        counter: Optional[UpdateCounter],
-    ) -> None:
-        """Merge (edge, amount) loss fragments and apply them, floored at
-        the batch minimum ``mbs`` — one ``np.add.at`` regardless of how the
-        fragments were produced.  Shared by the in-process batch step and
-        the sharded waves of :mod:`repro.runtime.parallel_peeling`, so the
-        bitwise-identity guarantee between the two cannot drift."""
-        if not loss_edges:
-            return
+        # Merge the fragments and apply them, floored at the batch minimum.
         edges_cat = np.concatenate(loss_edges)
         values_cat = np.concatenate(loss_values)
         changed, inverse = np.unique(edges_cat, return_inverse=True)

@@ -578,7 +578,6 @@ class DynamicBipartiteGraph:
         self,
         algorithm: str = "bit-bu++",
         *,
-        workers: int = 1,
         register: bool = True,
         snapshot: Optional[BipartiteGraph] = None,
         **kwargs,
@@ -588,20 +587,14 @@ class DynamicBipartiteGraph:
         The one code path for bringing a serving deployment back in sync
         after its registered artifact was invalidated: freeze the current
         state, build a fresh
-        :class:`~repro.service.artifacts.DecompositionArtifact` (with
-        ``workers > 1`` the build runs on the shared-memory
-        :class:`~repro.runtime.pool.ParallelRuntime`), and subscribe the
-        new artifact to this graph's future updates so the staleness loop
-        keeps closing.
+        :class:`~repro.service.artifacts.DecompositionArtifact`, and
+        subscribe the new artifact to this graph's future updates so the
+        staleness loop keeps closing.
 
         Parameters
         ----------
         algorithm:
-            Decomposition algorithm (auto-upgraded to ``bit-bu-par`` by
-            :func:`~repro.service.artifacts.build_artifact` when
-            ``workers > 1`` and the default is requested).
-        workers:
-            Worker processes for the rebuild (default 1 = scalar path).
+            Decomposition algorithm.
         register:
             Subscribe the new artifact via :meth:`register_artifact`
             (default).  Pass ``False`` when calling from a worker thread —
@@ -633,9 +626,7 @@ class DynamicBipartiteGraph:
         from repro.service.artifacts import build_artifact
 
         graph = self.snapshot() if snapshot is None else snapshot
-        artifact = build_artifact(
-            graph, algorithm=algorithm, workers=workers, **kwargs
-        )
+        artifact = build_artifact(graph, algorithm=algorithm, **kwargs)
         if register:
             self.register_artifact(artifact)
             tracker = self.tracker

@@ -7,12 +7,11 @@ every pillar of the codebase:
   ``Counter`` / ``Gauge`` / fixed-bucket ``Histogram`` primitives and a
   Prometheus text-format encoder.  Cheap enough for hot paths: plain
   attribute bumps, no locks on the single-threaded asyncio path, and
-  picklable snapshots so worker-process registries can be harvested back
-  through the :class:`~repro.runtime.pool.ParallelRuntime` pool and merged.
+  plain-dict snapshots so the process-global registry merges into the
+  server's at scrape time.
 * :mod:`repro.obs.trace` — lightweight trace ids and span contexts.  One
   trace id per HTTP request, carried in a :mod:`contextvars` variable,
-  propagated through the query coalescer and across process boundaries
-  into pool workers (the id rides the pickled task tuples).
+  propagated through the query coalescer and executor hops.
 * :mod:`repro.obs.phases` — the structured phase profiler.  Off by
   default at near-zero cost (a module-level no-op context manager);
   enabled via ``REPRO_PROFILE=1`` or the CLI ``--profile`` flags, it

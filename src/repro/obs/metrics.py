@@ -11,15 +11,15 @@ Two consumers shape the API:
 * the HTTP server encodes a registry (plus scrape-time synthesized
   families) into the Prometheus text exposition format via
   :meth:`MetricsRegistry.to_prometheus`;
-* the shared-memory runtime harvests each worker process's registry as a
-  picklable :meth:`~MetricsRegistry.snapshot` and folds it into the
-  parent's with :meth:`~MetricsRegistry.merge_snapshot` (counters and
+* the server folds the process-global registry's plain-dict
+  :meth:`~MetricsRegistry.snapshot` into its own with
+  :meth:`~MetricsRegistry.merge_snapshot` at scrape time (counters and
   histogram buckets add; gauges last-write-win).
 
 A process-global registry (:func:`get_registry`) carries the metrics of
-library code that has no server to attach to — runtime task counts,
-incremental-repair counters; the server keeps its own per-instance
-registry for HTTP series and merges the global one at scrape time.
+library code that has no server to attach to — incremental-repair
+counters; the server keeps its own per-instance registry for HTTP series
+and merges the global one at scrape time.
 """
 
 from __future__ import annotations
@@ -310,13 +310,13 @@ class MetricsRegistry:
         return self._families.get(name)
 
     def reset(self) -> None:
-        """Drop every family (tests and worker harvest cycles)."""
+        """Drop every family (test isolation)."""
         self._families.clear()
 
     def __len__(self) -> int:
         return len(self._families)
 
-    # ------------------------------------------------------ harvest/merge
+    # ------------------------------------------------------ snapshot/merge
 
     def snapshot(self) -> Dict[str, dict]:
         """A picklable snapshot of every family (plain dicts and lists)."""
@@ -441,7 +441,7 @@ class MetricsRegistry:
 
 
 #: The process-global registry: library-level metrics with no server to
-#: attach to (runtime task counts, incremental-repair counters, ...).
+#: attach to (incremental-repair counters, ...).
 _GLOBAL = MetricsRegistry()
 
 

@@ -9,29 +9,24 @@ and a function call (~100 ns); hot loops can stay instrumented.  When
 **enabled** (``REPRO_PROFILE=1`` or the CLI ``--profile`` flags) each
 entry pushes a node onto a stack, producing a tree like::
 
-    decompose                      2.41s
-      index construction           0.93s
-        butterfly counting         0.61s
-      peeling                      1.48s
-        wave 1                     0.52s
-          kernel                   0.44s
+    index construction             0.0090s
+      bloom discovery              0.0045s
+      assemble                     0.0028s
+    peeling                        0.0849s
+      frontier refill              0.0002s
+      batch updates                0.0783s x240
 
 :class:`~repro.utils.stats.PhaseTimer` (the per-run sink every algorithm
 already accepts) feeds this profiler automatically while profiling is
 enabled, so the existing ``timer.time("peeling")`` sites appear in the
 tree without duplicate instrumentation.
-
-Worker processes profile into their own tree; the runtime harvests it as
-a plain dict (:func:`snapshot`) and the parent folds it into the node
-that dispatched the tasks (:func:`merge_tree`), so sharded-kernel time
-nests under the wave that dispatched it.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 _ENV_FLAG = "REPRO_PROFILE"
 
@@ -60,12 +55,6 @@ class _Node:
                 child.to_dict() for child in self.children.values()
             ],
         }
-
-    def merge_dict(self, tree: dict) -> None:
-        self.seconds += float(tree.get("seconds", 0.0))
-        self.count += int(tree.get("count", 0))
-        for sub in tree.get("children", ()):
-            self.child(str(sub["name"])).merge_dict(sub)
 
 
 class _PhaseContext:
@@ -124,19 +113,6 @@ class PhaseProfiler:
         node = self._stack[-1].child(name)
         node.seconds += seconds
         node.count += count
-
-    def merge_tree(self, tree: Optional[dict]) -> None:
-        """Fold a harvested :func:`snapshot` under the current phase.
-
-        The snapshot's root is anonymous; its children become (or add
-        into) children of whatever phase is currently open — typically
-        the dispatch phase of the waves that ran the harvested workers.
-        """
-        if not tree:
-            return
-        current = self._stack[-1]
-        for sub in tree.get("children", ()):
-            current.child(str(sub["name"])).merge_dict(sub)
 
     # ---------------------------------------------------------- inspection
 
@@ -221,12 +197,6 @@ def add(name: str, seconds: float, count: int = 1) -> None:
         _PROFILER.add(name, seconds, count)
 
 
-def merge_tree(tree: Optional[dict]) -> None:
-    """Fold a harvested worker tree under the current phase (if enabled)."""
-    if _enabled:
-        _PROFILER.merge_tree(tree)
-
-
 def tree() -> dict:
     """The global profiler's recorded tree."""
     return _PROFILER.tree()
@@ -235,30 +205,3 @@ def tree() -> dict:
 def reset() -> None:
     """Reset the global profiler."""
     _PROFILER.reset()
-
-
-def reset_in_worker() -> None:
-    """Hard reset for a freshly forked worker process.
-
-    A fork-started worker inherits the parent's profiler mid-phase; those
-    open phases never exit in the child, so :meth:`PhaseProfiler.reset`'s
-    stack re-anchoring would keep grafting worker phases under phantom
-    parent nodes.  Replace the profiler outright: empty tree, empty stack.
-    """
-    global _PROFILER
-    _PROFILER = PhaseProfiler()
-
-
-def snapshot() -> Optional[dict]:
-    """Picklable harvest for worker processes: the tree, then a reset.
-
-    Returns ``None`` when profiling is disabled or nothing was recorded,
-    so the common case ships no payload back through the pool.
-    """
-    if not _enabled:
-        return None
-    captured = _PROFILER.tree()
-    if not captured["children"]:
-        return None
-    _PROFILER.reset()
-    return captured

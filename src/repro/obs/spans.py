@@ -4,9 +4,7 @@ Where :mod:`repro.obs.phases` answers "where does a *run* spend its
 time" (opt-in, aggregate), spans answer "why was *this request* slow"
 (always on, per trace).  A :class:`Span` is one timed operation with a
 trace id, its own span id and a parent span id, so a request's spans
-assemble into a tree — including spans recorded inside pool workers,
-which ship home as dicts in the task harvest and graft under the
-dispatching span (see :func:`remote_child` and ``pool._run_task``).
+assemble into a tree.
 
 The cost model keeps this safe to leave on in production:
 
@@ -17,10 +15,10 @@ The cost model keeps this safe to leave on in production:
   reads and one lock-guarded ring-buffer write (``tests/test_spans.py``
   pins the total below 3% of a ``bit-bu-csr`` decompose);
 * **head sampling** (``REPRO_TRACE_SAMPLE``, default 1.0) decides per
-  trace — deterministically from the trace id, so workers agree with
-  the dispatcher without coordination — and **tail promotion** retains
-  any trace whose root crosses the slow threshold even when the head
-  decision said drop, so the slowest requests are always inspectable.
+  trace, deterministically from the trace id, and **tail promotion**
+  retains any trace whose root crosses the slow threshold even when the
+  head decision said drop, so the slowest requests are always
+  inspectable.
 
 The :class:`SpanRecorder` is process-global (:func:`get_recorder`); the
 server drains completed traces out of it into a
@@ -57,9 +55,7 @@ def new_span_id() -> str:
 class Span:
     """One timed operation inside a trace.
 
-    Timestamps are ``time.monotonic_ns()`` — on Linux CLOCK_MONOTONIC is
-    system-wide, so spans recorded in worker processes are directly
-    comparable with (and nest correctly under) the dispatcher's spans.
+    Timestamps are ``time.monotonic_ns()``.
     """
 
     __slots__ = (
@@ -117,7 +113,7 @@ class Span:
         return self.duration_ns / 1e9
 
     def to_dict(self) -> Dict[str, Any]:
-        """A picklable/JSON-safe form (rides the worker harvest home)."""
+        """A JSON-safe form."""
         return {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
@@ -228,9 +224,8 @@ class SpanRecorder:
     def sample_trace(self, trace_id: str) -> bool:
         """The head-sampling decision for ``trace_id``.
 
-        Deterministic in the trace id (a hash, not a coin flip) so every
-        process touching the trace — dispatcher, workers — reaches the
-        same verdict without coordination.
+        Deterministic in the trace id (a hash, not a coin flip), so a
+        trace is kept or dropped as a whole.
         """
         if self.sample >= 1.0:
             return True
@@ -257,11 +252,6 @@ class SpanRecorder:
             else:
                 self._dropped += 1
 
-    def import_spans(self, dicts: List[Dict[str, Any]]) -> None:
-        """Graft spans harvested from a worker process into this recorder."""
-        for data in dicts:
-            self.record(Span.from_dict(data))
-
     def finish_trace(self, trace_id: str) -> Optional[List[Span]]:
         """Close a trace and decide retention.
 
@@ -283,7 +273,7 @@ class SpanRecorder:
         return sorted(spans, key=lambda s: (s.start_ns, s.span_id))
 
     def take_trace(self, trace_id: str) -> List[Span]:
-        """Pop a trace's open spans unconditionally (worker harvest path)."""
+        """Pop a trace's open spans unconditionally."""
         with self._lock:
             spans = self._open.pop(trace_id, None)
         if not spans:
@@ -330,7 +320,7 @@ _RECORDER = SpanRecorder(
 
 
 def get_recorder() -> SpanRecorder:
-    """The process-global recorder (workers get their own after reset)."""
+    """The process-global recorder."""
     return _RECORDER
 
 
@@ -339,17 +329,6 @@ def configure(
 ) -> None:
     """Adjust the global recorder's knobs (``serve --trace-sample``)."""
     _RECORDER.configure(sample=sample, slow_s=slow_s)
-
-
-def reset_in_worker() -> None:
-    """Hard-reset span state in a freshly initialised pool worker.
-
-    Forked workers inherit the parent's ring and open traces; clearing
-    both keeps worker harvests free of phantom parent spans (mirrors
-    ``phases.reset_in_worker`` / the registry reset in ``_worker_init``).
-    """
-    _RECORDER.reset()
-    _STATE.set(None)
 
 
 class _TraceState:
@@ -361,12 +340,11 @@ class _TraceState:
     attribute mutation is safe without a lock.
     """
 
-    __slots__ = ("trace_id", "current", "remote_parent")
+    __slots__ = ("trace_id", "current")
 
-    def __init__(self, trace_id: str, remote_parent: Optional[str] = None) -> None:
+    def __init__(self, trace_id: str) -> None:
         self.trace_id = trace_id
         self.current: Optional[Span] = None
-        self.remote_parent = remote_parent
 
 
 _STATE: ContextVar[Optional[_TraceState]] = ContextVar(
@@ -423,7 +401,7 @@ class _SpanContext:
         self._span = Span(
             self._state.trace_id,
             self._name,
-            parent_id=parent.span_id if parent is not None else self._state.remote_parent,
+            parent_id=parent.span_id if parent is not None else None,
             attrs=self._attrs,
         )
         self._state.current = self._span
@@ -454,44 +432,12 @@ def span(name: str, **attrs: Any):
 def trace_span(name: str, **attrs: Any):
     """A span context that never creates a phase-tree node.
 
-    For request-plumbing sites (coalescer windows, pool dispatch,
-    per-query ops) that belong in waterfalls but would distort the
-    aggregate phase tree's established shape; outside a trace this is
-    the shared no-op.
+    For request-plumbing sites (coalescer windows, per-query ops) that
+    belong in waterfalls but would distort the aggregate phase tree's
+    established shape; outside a trace this is the shared no-op.
     """
     tid = trace.current_trace_id()
     if tid is None or _RECORDER.sample <= 0.0:
         return phases._NOOP
     return _SpanContext(_state_for(tid), name, attrs, bridge_phases=False)
 
-
-class _RemoteChild:
-    """Install a trace state whose spans parent under a remote span id.
-
-    Used by pool workers: the dispatcher ships ``(trace_id,
-    parent_span_id)`` in the task tuple; the worker's spans then link
-    under the dispatching span even though the parent object lives in
-    another process.
-    """
-
-    __slots__ = ("_trace_id", "_parent_id", "_token", "_prev")
-
-    def __init__(self, trace_id: str, parent_span_id: Optional[str]) -> None:
-        self._trace_id = trace_id
-        self._parent_id = parent_span_id
-
-    def __enter__(self) -> None:
-        self._token = trace.set_trace_id(self._trace_id)
-        self._prev = _STATE.set(
-            _TraceState(self._trace_id, remote_parent=self._parent_id)
-        )
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        _STATE.reset(self._prev)
-        trace.reset_trace_id(self._token)
-        return False
-
-
-def remote_child(trace_id: str, parent_span_id: Optional[str]) -> _RemoteChild:
-    return _RemoteChild(trace_id, parent_span_id)

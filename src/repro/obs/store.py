@@ -74,9 +74,8 @@ class TraceRecord:
     def waterfall(self) -> Dict[str, Any]:
         """Parent-linked span tree with millisecond offsets from trace start.
 
-        Spans whose parent never made it into the record (evicted, or a
-        worker span whose dispatcher dropped out) graft at the top level
-        rather than disappearing.
+        Spans whose parent never made it into the record (evicted) graft
+        at the top level rather than disappearing.
         """
         by_id = {s.span_id: s for s in self.spans}
         children: Dict[Optional[str], List[Span]] = {}

@@ -4,10 +4,6 @@ One trace id is minted (or adopted from an ``X-Trace-Id`` header) per
 HTTP request and stored in a :mod:`contextvars` variable, so everything
 the request touches — coalescer windows, engine calls, log records —
 can correlate without threading an argument through every signature.
-Across process boundaries the id rides the pickled task tuples of the
-:class:`~repro.runtime.pool.ParallelRuntime` (see ``pool._run_task``),
-so worker-side log records and harvested metrics carry the originating
-request's id.
 
 :func:`span` is the legacy entry point; it now delegates to
 :mod:`repro.obs.spans`, which records a real :class:`~repro.obs.spans.Span`

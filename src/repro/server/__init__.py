@@ -19,10 +19,10 @@ on the wire with nothing beyond the standard library:
   and ``/metrics`` observability, with structured error payloads;
 * :mod:`repro.server.updates` — :class:`UpdateManager`, the live refresh
   loop: ``POST /{ds}/edges`` mutations land in a
-  :class:`~repro.maintenance.dynamic.DynamicBipartiteGraph`, a debounced
-  background task re-decomposes off the hot path (optionally on the
-  shared-memory :class:`~repro.runtime.pool.ParallelRuntime`), and the
-  fresh artifact is hot-swapped into the registry.
+  :class:`~repro.maintenance.dynamic.DynamicBipartiteGraph`, small
+  batches are repaired incrementally, larger ones re-decompose in a
+  debounced background task off the hot path, and the fresh artifact is
+  hot-swapped into the registry.
 
 ``repro-bitruss serve --dataset github --port 8642`` is the CLI front
 door (see :mod:`repro.cli`).

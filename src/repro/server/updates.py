@@ -19,7 +19,7 @@ served artifact back in sync one of two ways:
   registry before the ``POST`` even returns: one version bump per batch,
   with query-cache entries above the batch's ``max_affected_k`` carried
   across the swap.  Readers never see a stale version.
-* **Debounced parallel rebuild** (the fallback): when an op's affected
+* **Debounced rebuild** (the fallback): when an op's affected
   region crosses the adaptive budget under ``rebuild_threshold`` (or the
   tracker's predictor says it will, skipping the region search entirely),
   the batch is too large, or the tracker has lost sync, the live engine —
@@ -35,10 +35,8 @@ not one per edge; mutations that land while a rebuild is running trigger
 one follow-up rebuild when it finishes.  The decomposition itself runs in
 an executor thread via
 :meth:`~repro.maintenance.dynamic.DynamicBipartiteGraph.rebuild` — the
-shared offline/online rebuild path — optionally on the shared-memory
-:class:`~repro.runtime.pool.ParallelRuntime` (``workers > 1``).  When it
-lands, the tracker is reseeded from the fresh φ so incremental patching
-resumes.
+shared offline/online rebuild path.  When it lands, the tracker is
+reseeded from the fresh φ so incremental patching resumes.
 """
 
 from __future__ import annotations
@@ -72,12 +70,8 @@ class UpdateManager:
         The registry whose entries get hot-swapped.
     debounce:
         Quiet seconds after the last mutation before a rebuild starts.
-    workers:
-        Worker processes for each rebuild (>1 uses the shared-memory
-        runtime through ``bit-bu-par``).
     algorithm:
-        Decomposition algorithm for rebuilds (default ``bit-bu++``,
-        auto-upgraded to ``bit-bu-par`` when ``workers > 1``).
+        Decomposition algorithm for rebuilds (default ``bit-bu++``).
     executor:
         Where the rebuild computation runs (default: the loop's default
         thread pool).
@@ -112,7 +106,6 @@ class UpdateManager:
         registry: ArtifactRegistry,
         *,
         debounce: float = 0.2,
-        workers: int = 1,
         algorithm: str = "bit-bu++",
         executor: Optional[Executor] = None,
         incremental: bool = True,
@@ -123,15 +116,12 @@ class UpdateManager:
     ) -> None:
         if debounce < 0:
             raise ValueError("debounce must be non-negative")
-        if workers < 1:
-            raise ValueError("workers must be positive")
         if not 0.0 <= rebuild_threshold <= 1.0:
             raise ValueError("rebuild_threshold must be in [0, 1]")
         if max_incremental_batch < 1:
             raise ValueError("max_incremental_batch must be positive")
         self.registry = registry
         self.debounce = debounce
-        self.workers = workers
         self.algorithm = algorithm
         self.incremental = incremental
         self.rebuild_threshold = rebuild_threshold
@@ -489,7 +479,6 @@ class UpdateManager:
         def _build():
             artifact = dynamic.rebuild(
                 self.algorithm,
-                workers=self.workers,
                 snapshot=snapshot,
                 register=False,
             )

@@ -282,9 +282,6 @@ class DecompositionArtifact:
 def build_artifact(
     graph: BipartiteGraph,
     algorithm: str = "bit-bu++",
-    *,
-    workers: int = 1,
-    parallel: Optional[bool] = None,
     **kwargs: object,
 ) -> DecompositionArtifact:
     """Run a decomposition and freeze it into an artifact.
@@ -295,17 +292,6 @@ def build_artifact(
         The graph to decompose.
     algorithm : str, optional
         Any name accepted by :func:`repro.core.api.bitruss_decomposition`.
-    workers : int, optional
-        Offline builds are the runtime's natural customer: with
-        ``workers > 1`` the decomposition runs on the shared-memory pool
-        (:mod:`repro.runtime`).  When the requested algorithm is the
-        serial default it is upgraded to ``"bit-bu-par"``; an explicitly
-        parallel-incapable choice raises :class:`ValueError` (via
-        :func:`~repro.core.api.bitruss_decomposition`) instead of silently
-        building single-core.
-    parallel : bool, optional
-        Convenience toggle: ``parallel=True`` with the default
-        ``workers=1`` asks for one worker per spare CPU core.
     **kwargs :
         Forwarded to the decomposition (``tau``, ``prefilter``, ...).
 
@@ -315,20 +301,10 @@ def build_artifact(
         Ready to save or to hand to a
         :class:`~repro.service.engine.QueryEngine`.
     """
-    import os
-
     from repro.core.api import bitruss_decomposition
 
-    if parallel and workers == 1:
-        workers = max(2, (os.cpu_count() or 2) - 1)
-    if workers > 1 and algorithm in ("bit-bu++", "bu++"):
-        algorithm = "bit-bu-par"
-    result = bitruss_decomposition(
-        graph, algorithm=algorithm, workers=workers, **kwargs
-    )
-    artifact = DecompositionArtifact.from_decomposition(result)
-    artifact.meta["workers"] = workers
-    return artifact
+    result = bitruss_decomposition(graph, algorithm=algorithm, **kwargs)
+    return DecompositionArtifact.from_decomposition(result)
 
 
 def _build_header(artifact: DecompositionArtifact) -> Dict[str, object]:

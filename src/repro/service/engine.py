@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.api import ALGORITHMS
 from repro.core.result import BitrussDecomposition
 from repro.graph.bipartite import BipartiteGraph
 from repro.obs import spans as obs_spans
@@ -152,9 +153,15 @@ class QueryEngine:
         graph : BipartiteGraph, optional
             The new graph snapshot (e.g. from
             :meth:`~repro.maintenance.dynamic.DynamicBipartiteGraph.snapshot`);
-            defaults to re-decomposing the artifact's current graph.
+            defaults to re-decomposing the artifact's current graph.  The
+            artifact's own algorithm is reused; a name no longer in
+            :data:`~repro.core.api.ALGORITHMS` (``"BiT-BU-PAR"``, stored by
+            the since-removed process-parallel build) refreshes with
+            ``bit-bu-csr``, which gives bitwise the same φ.
         """
         algorithm = self.artifact.algorithm or "bit-bu++"
+        if algorithm.lower() not in ALGORITHMS:
+            algorithm = "bit-bu-csr"
         self.artifact = build_artifact(graph or self.graph, algorithm=algorithm)
         self.graph = self.artifact.graph
         self.phi = self.artifact.phi

@@ -12,7 +12,7 @@ buckets live in a dict rather than a dense list.
 
 Users: the paper-reference peels (BiT-BS, BiT-BU, BiT-BU+, BiT-BU++,
 BiT-PC, tip decomposition) and the incremental repair's ``peel_region``.
-The CSR engine (``bit-bu-csr``/``bit-bu-par``) does not use it: its queue
+The CSR engine (``bit-bu-csr``) does not use it: its queue
 is the array frontier :class:`repro.core.peeling_engine.PeelFrontier`.
 """
 

@@ -221,19 +221,32 @@ def test_graph_hash_is_content_addressed(figure4):
     assert graph_sha256(figure4) == graph_sha256(clone)
 
 
-def test_build_artifact_workers_routes_through_runtime(figure4):
-    from repro.runtime import is_available
+@pytest.mark.parametrize("layout", ["npz", "dir"])
+def test_artifact_of_removed_parallel_build_loads_and_refreshes(
+    tmp_path, layout
+):
+    # Artifacts written by the removed process-parallel build store the
+    # algorithm name "BiT-BU-PAR" and a "workers" meta entry.
+    from repro.service.engine import QueryEngine
 
-    if not is_available():
-        pytest.skip("POSIX shared memory unavailable")
-    serial = build_artifact(figure4, algorithm="bit-bu-csr")
-    parallel = build_artifact(figure4, workers=2)
-    # The serial default upgrades to the runtime path; phi is identical.
-    assert parallel.algorithm == "BiT-BU-PAR"
-    assert parallel.meta["workers"] == 2
-    np.testing.assert_array_equal(serial.phi, parallel.phi)
+    graph = load_dataset("marvel")
+    fresh = build_artifact(graph, algorithm="bit-bu-csr")
+    legacy = DecompositionArtifact(
+        graph=graph,
+        phi=fresh.phi.copy(),
+        algorithm="BiT-BU-PAR",
+        meta={"workers": 2},
+    )
+    path = tmp_path / ("legacy.npz" if layout == "npz" else "legacy")
+    save_artifact(legacy, path, layout=layout)
 
+    engine = QueryEngine.load(path)
+    assert engine.artifact.algorithm == "BiT-BU-PAR"
+    assert engine.artifact.meta["workers"] == 2
+    u, v = graph.edge_endpoints(int(np.argmax(fresh.phi)))
+    assert engine.phi_of(u, v) == fresh.max_k
+    assert engine.k_bitruss(fresh.max_k)
 
-def test_build_artifact_workers_rejects_serial_algorithms(figure4):
-    with pytest.raises(ValueError):
-        build_artifact(figure4, algorithm="bit-pc", workers=2)
+    engine.refresh()
+    np.testing.assert_array_equal(engine.phi, fresh.phi)
+    assert engine.phi_of(u, v) == fresh.max_k

@@ -375,7 +375,7 @@ class TestEnvAndDiscovery:
         specs = discover(REPO_ROOT / "benchmarks")
         smoke = [s for s in specs if s.tier == "smoke"]
         assert len(smoke) >= 3
-        assert {"csr_peeling", "parallel_runtime", "incremental"} <= {
+        assert {"csr_peeling", "query_engine", "incremental"} <= {
             s.name for s in smoke
         }
 

@@ -110,49 +110,46 @@ def test_decompose_json(graph_file, capsys):
     assert payload["hierarchy"]["1"] == 4
 
 
-def test_decompose_workers_parallel(graph_file, capsys):
-    from repro.runtime import is_available
-
-    if not is_available():
-        pytest.skip("POSIX shared memory unavailable")
-    rc = main(["decompose", str(graph_file), "--workers", "2"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    # --workers > 1 with the default algorithm selects the runtime path.
-    assert "BiT-BU-PAR" in out
-    assert "max bitruss number: 1" in out
-
-
-def test_decompose_workers_default_is_scalar(graph_file, capsys):
-    rc = main(["decompose", str(graph_file), "--workers", "1"])
+def test_decompose_default_algorithm_is_bu_plus_plus(graph_file, capsys):
+    rc = main(["decompose", str(graph_file)])
     assert rc == 0
     assert "BiT-BU++" in capsys.readouterr().out
 
 
-def test_decompose_workers_rejects_serial_algorithm(graph_file):
-    with pytest.raises(SystemExit):
-        main(["decompose", str(graph_file), "--algorithm", "pc", "--workers", "2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--dataset", "github"],
+        ["index", "--dataset", "github", "--output", "unused.npz"],
+        # The out-of-range port stops a parser that accepts --workers
+        # before it starts a server.
+        ["serve", "--dataset", "github", "--port", "70000"],
+    ],
+    ids=["decompose", "index", "serve"],
+)
+def test_workers_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--workers", "2"])
+    assert excinfo.value.code == 2  # argparse's usage error
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
-def test_decompose_workers_rejects_nonpositive(graph_file):
-    with pytest.raises(SystemExit):
-        main(["decompose", str(graph_file), "--workers", "0"])
+def test_cli_import_loads_no_multiprocessing():
+    import subprocess
+    import sys
 
-
-def test_index_workers_parallel(graph_file, tmp_path, capsys):
-    from repro.runtime import is_available
-
-    if not is_available():
-        pytest.skip("POSIX shared memory unavailable")
-    out = tmp_path / "artifact.npz"
-    rc = main(["index", str(graph_file), "--workers", "2", "--output", str(out)])
-    assert rc == 0
-    assert "BiT-BU-PAR" in capsys.readouterr().out
-    from repro.service import load_artifact
-
-    artifact = load_artifact(out)
-    assert artifact.meta["workers"] == 2
-    assert list(artifact.phi) == [1, 1, 1, 1, 0]
+    script = (
+        "import sys, repro.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith("
+        "('multiprocessing', 'concurrent.futures.process'))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # -------------------------------------------------------------------- serve
@@ -183,11 +180,6 @@ def test_serve_rejects_unknown_dataset_name(capsys):
 def test_serve_rejects_out_of_range_port():
     with pytest.raises(SystemExit, match=r"--port 70000 is outside"):
         main(["serve", "--dataset", "github", "--port", "70000"])
-
-
-def test_serve_rejects_nonpositive_workers():
-    with pytest.raises(SystemExit, match="--workers must be a positive"):
-        main(["serve", "--dataset", "github", "--workers", "0"])
 
 
 def test_serve_rejects_negative_tuning_values():

@@ -132,6 +132,11 @@ class TestApi:
         with pytest.raises(ValueError, match="unknown algorithm"):
             bitruss_decomposition(figure4, algorithm="nope")
 
+    @pytest.mark.parametrize("name", ["bit-bu-par", "bu-par", "par"])
+    def test_parallel_aliases_are_unknown(self, figure4, name):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            bitruss_decomposition(figure4, algorithm=name)
+
     def test_stats_populated(self, figure4):
         from repro.utils.stats import UpdateCounter
 

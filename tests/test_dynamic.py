@@ -162,16 +162,6 @@ class TestRebuild:
         phi_csr = list(dyn.rebuild("bit-bu-csr", register=False).phi)
         assert phi_default == phi_csr
 
-    def test_rebuild_parallel_workers(self):
-        from repro.runtime import is_available
-
-        if not is_available():
-            pytest.skip("POSIX shared memory unavailable")
-        dyn = DynamicBipartiteGraph(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
-        artifact = dyn.rebuild(workers=2)
-        assert artifact.meta["workers"] == 2
-        assert list(artifact.phi) == list(dyn.rebuild(register=False).phi)
-
 
 @settings(max_examples=30, deadline=None)
 @given(

@@ -198,34 +198,6 @@ class TestPhases:
         tree = obs_phases.tree()
         assert obs_phases.leaf_seconds(tree) == pytest.approx(0.75)
 
-    def test_merge_tree_grafts_under_open_phase(self):
-        obs_phases.enable(True)
-        harvest = {
-            "name": "total",
-            "seconds": 0.0,
-            "count": 0,
-            "children": [
-                {"name": "kernel", "seconds": 0.4, "count": 2, "children": []}
-            ],
-        }
-        with obs_phases.phase("dispatch"):
-            obs_phases.merge_tree(harvest)
-            obs_phases.merge_tree(harvest)
-        (dispatch,) = obs_phases.tree()["children"]
-        (kernel,) = dispatch["children"]
-        assert kernel["seconds"] == pytest.approx(0.8)
-        assert kernel["count"] == 4
-
-    def test_snapshot_returns_none_when_disabled_or_empty(self):
-        assert obs_phases.snapshot() is None
-        obs_phases.enable(True)
-        assert obs_phases.snapshot() is None  # enabled but nothing recorded
-        with obs_phases.phase("x"):
-            pass
-        snap = obs_phases.snapshot()
-        assert snap["children"][0]["name"] == "x"
-        assert obs_phases.snapshot() is None  # snapshot resets
-
     def test_render_tree_marks_repeat_counts(self):
         obs_phases.enable(True)
         for _ in range(3):
@@ -361,43 +333,6 @@ class TestTrace:
 
         run(scenario())
 
-
-class TestRuntimeObservability:
-    @pytest.fixture(autouse=True)
-    def _needs_shm(self):
-        from repro.runtime import is_available
-
-        if not is_available():
-            pytest.skip("POSIX shared memory unavailable")
-
-    def test_trace_and_metrics_cross_worker_boundary(self):
-        from repro.runtime import ParallelRuntime
-
-        graph = paper_figure4_graph()
-        with obs_trace.trace_context("cross-proc"):
-            with ParallelRuntime(graph, workers=2) as runtime:
-                echoed = runtime.map_tasks(_echo_trace, [(0,), (1,)])
-        assert echoed == ["cross-proc", "cross-proc"]
-        tasks = obs_metrics.get_registry().get("repro_runtime_tasks_total")
-        assert tasks is not None
-        assert tasks.value(("_echo_trace",)) == 2.0
-
-    def test_worker_phase_trees_merge_under_dispatch_phase(self):
-        from repro.runtime import ParallelRuntime
-
-        graph = paper_figure4_graph()
-        obs_phases.enable(True)
-        with ParallelRuntime(graph, workers=2) as runtime:
-            with obs_phases.phase("dispatch"):
-                runtime.map_tasks(_echo_trace, [(0,), (1,)])
-        (dispatch,) = obs_phases.tree()["children"]
-        kernels = [c for c in dispatch["children"] if c["name"] == "kernel"]
-        assert kernels and kernels[0]["count"] == 2
-
-
-def _echo_trace(_i):
-    """Module-level (picklable) task: report the worker's active trace id."""
-    return obs_trace.current_trace_id()
 
 
 # ------------------------------------------------------------------- server

@@ -171,30 +171,6 @@ def test_registry_hosts_mmap_backed_artifact(tmp_path):
     registry.unregister("marvel")
 
 
-def test_shm_arena_accepts_mmap_backed_arrays(tmp_path):
-    pytest.importorskip("multiprocessing.shared_memory")
-    from repro.runtime.shm import ShmArena
-
-    graph = load_dataset("marvel")
-    result = bitruss_decomposition(graph, algorithm=ALGORITHM)
-    artifact = DecompositionArtifact(
-        graph=graph, phi=result.phi, algorithm=ALGORITHM
-    )
-    path = tmp_path / "artifact"
-    save_artifact(artifact, path, layout="dir")
-    mmapped = load_artifact(path, mmap_mode="r")
-
-    arena = ShmArena.create(
-        {"phi": mmapped.phi, "edge_upper": mmapped.graph.edge_upper},
-        prefix="scale_test",
-    )
-    try:
-        assert np.array_equal(arena.view("phi"), result.phi)
-        assert np.array_equal(arena.view("edge_upper"), graph.edge_upper)
-    finally:
-        arena.close()
-
-
 # ----------------------------------------------------------- scale tier
 
 

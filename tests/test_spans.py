@@ -286,15 +286,6 @@ class TestSpanApi:
         names = [c["name"] for c in obs_phases.tree()["children"]]
         assert names == ["algo step"]  # no phase node for the plumbing span
 
-    def test_remote_child_parents_under_remote_span_id(self):
-        rec = obs_spans.get_recorder()
-        with obs_spans.remote_child("abc123", "feed0001"):
-            with obs_spans.trace_span("worker:op"):
-                pass
-        (span,) = rec.take_trace("abc123")
-        assert span.parent_id == "feed0001"
-        assert obs_trace.current_trace_id() is None  # token restored
-
     def test_env_knobs_shape_the_recorder(self):
         script = (
             "from repro.obs import spans\n"
@@ -605,41 +596,6 @@ class TestDebugPlane:
                 assert payload["recorder"]["recorded"] == 0
 
         run(scenario())
-
-
-# ------------------------------------------------------------ worker graft
-
-
-class TestWorkerSpanGraft:
-    @pytest.fixture(autouse=True)
-    def _needs_shm(self):
-        from repro.runtime import is_available
-
-        if not is_available():
-            pytest.skip("POSIX shared memory unavailable")
-
-    def test_worker_spans_link_under_dispatch_span(self):
-        from repro.runtime import ParallelRuntime
-
-        rec = obs_spans.get_recorder()
-        graph = paper_figure4_graph()
-        with obs_trace.trace_context("ace0f5e7"):
-            with obs_spans.trace_span("GET /test", endpoint="test"):
-                with ParallelRuntime(graph, workers=2) as runtime:
-                    runtime.count_per_edge()
-        record = TraceRecord(rec.finish_trace("ace0f5e7"))
-        tree = record.waterfall()
-        (root,) = tree["spans"]  # single tree: every span found its parent
-        assert root["name"] == "GET /test"
-        dispatches = [
-            c for c in root["children"] if c["name"].startswith("pool dispatch:")
-        ]
-        assert dispatches
-        workers = dispatches[0].get("children", [])
-        assert workers and all(
-            w["name"].startswith("worker:") for w in workers
-        )
-        assert {w["pid"] for w in workers} != {root["pid"]}  # truly remote
 
 
 # ----------------------------------------------------------------- overhead

@@ -14,13 +14,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.butterfly import wedges
 from repro.butterfly.counting import collect_wedges, count_per_edge_naive
 from repro.butterfly.wedges import WEDGE_BUDGET, support_on_arrays
 from repro.core.api import bitruss_decomposition
-from repro.core.peeling_engine import CSRPeelingEngine, build_shard_on_arrays
+from repro.core.peeling_engine import build_shard_on_arrays
 from repro.datasets import dataset_names, load_dataset
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import complete_biclique, erdos_renyi_bipartite
@@ -28,10 +27,6 @@ from tests.conftest import bipartite_graphs
 
 BUDGETS = (1, 7, WEDGE_BUDGET)
 SHARD_ARRAYS = ("support", "pair_e1", "pair_e2", "pair_bloom", "bloom_k")
-ENGINE_ARRAYS = (
-    "support", "pair_e1", "pair_e2", "pair_bloom", "bloom_k",
-    "e_indptr", "e_pair", "b_indptr", "b_pair",
-)
 
 
 @contextlib.contextmanager
@@ -47,13 +42,12 @@ def _arrays(graph, priorities=None):
     return (*graph.csr_gid_sorted_with_prios(priorities), prio)
 
 
-def oracle_shard(graph, priorities=None, start_lo=0, start_hi=None):
-    """Algorithm 3 over ``[start_lo, start_hi)``, one start at a time."""
+def oracle_shard(graph, priorities=None):
+    """Algorithm 3, one start at a time."""
     indptr, nbrs, eids, row_prios, prio = _arrays(graph, priorities)
-    start_hi = graph.num_vertices if start_hi is None else start_hi
     support = [0] * graph.num_edges
     pair_e1, pair_e2, pair_bloom, bloom_k = [], [], [], []
-    for start in range(start_lo, start_hi):
+    for start in range(graph.num_vertices):
         wedges = collect_wedges(indptr, nbrs, eids, row_prios, prio, start)
         groups = {}
         for w, _v, e_uv, e_vw in wedges or ():
@@ -75,11 +69,8 @@ def oracle_shard(graph, priorities=None, start_lo=0, start_hi=None):
     )
 
 
-def kernel_shard(graph, priorities=None, start_lo=0, start_hi=None):
-    start_hi = graph.num_vertices if start_hi is None else start_hi
-    return build_shard_on_arrays(
-        *_arrays(graph, priorities), graph.num_edges, start_lo, start_hi
-    )
+def kernel_shard(graph, priorities=None):
+    return build_shard_on_arrays(*_arrays(graph, priorities), graph.num_edges)
 
 
 def assert_shards_equal(got, want, context=""):
@@ -94,8 +85,7 @@ def assert_kernel_matches_oracle(graph, priorities=None):
         with wedge_budget(budget):
             got = kernel_shard(graph, priorities)
             counted = support_on_arrays(
-                *_arrays(graph, priorities), graph.num_edges, 0,
-                graph.num_vertices,
+                *_arrays(graph, priorities), graph.num_edges
             )
         assert_shards_equal(got, want, f"(budget {budget})")
         np.testing.assert_array_equal(counted, want[0])
@@ -108,30 +98,6 @@ def assert_kernel_matches_oracle(graph, priorities=None):
 @given(bipartite_graphs())
 def test_kernel_matches_oracle_under_every_budget(graph):
     assert_kernel_matches_oracle(graph)
-
-
-@settings(max_examples=30, deadline=None)
-@given(bipartite_graphs(), st.data())
-def test_start_range_partition_assembles_to_full_build(graph, data):
-    n = graph.num_vertices
-    cuts = sorted(
-        data.draw(st.lists(st.integers(0, n), max_size=4), label="cuts")
-    )
-    bounds = [0, *cuts, n]
-    budget = data.draw(st.sampled_from(BUDGETS), label="budget")
-    with wedge_budget(budget):
-        shards = [
-            kernel_shard(graph, start_lo=lo, start_hi=hi)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-    for shard, lo, hi in zip(shards, bounds, bounds[1:]):
-        assert_shards_equal(shard, oracle_shard(graph, None, lo, hi))
-    assembled = CSRPeelingEngine.from_shards(graph.num_edges, shards)
-    full = CSRPeelingEngine.build(graph)
-    for name in ENGINE_ARRAYS:
-        np.testing.assert_array_equal(
-            getattr(assembled, name), getattr(full, name), err_msg=name
-        )
 
 
 # -------------------------------------------------------- degenerate shapes
@@ -183,14 +149,6 @@ def test_custom_priorities(kind):
     )
 
 
-def test_out_of_range_starts_rejected():
-    graph = erdos_renyi_bipartite(5, 5, 12, seed=1)
-    n = graph.num_vertices
-    with pytest.raises(IndexError):
-        kernel_shard(graph, start_lo=n + 1, start_hi=n + 2)
-    assert len(kernel_shard(graph, start_lo=n, start_hi=n)[4]) == 0
-
-
 # ---------------------------------------------------------- memory contract
 
 
@@ -208,7 +166,7 @@ def test_peak_memory_follows_budget_not_wedge_count():
         with wedge_budget(b):
             tracemalloc.start()
             try:
-                support_on_arrays(*arrays, m, 0, n)
+                support_on_arrays(*arrays, m)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
