@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time as _time
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 LabelValues = Tuple[str, ...]
 

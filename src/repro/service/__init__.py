@@ -9,8 +9,9 @@ stack:
   per-edge φ, provenance metadata) into a single ``.npz`` file with
   integrity checks, so it is computed once and reopened instantly;
 * :mod:`repro.service.hierarchy` — the nested k-bitruss containment
-  forest, built by one φ-descending union-find sweep and stored in flat
-  numpy arrays, making every structural query output-linear;
+  forest, built by a φ-descending sweep of array operations, one batch
+  per level, and stored in flat numpy arrays, making every structural
+  query output-linear;
 * :mod:`repro.service.engine` — :class:`~repro.service.engine.QueryEngine`,
   the online query surface (``k_bitruss``, ``community``, ``max_k``,
   ``hierarchy_path``, φ statistics, batches) with an LRU result cache.

@@ -85,10 +85,9 @@ class QueryEngine:
         self.artifact = artifact
         self.graph: BipartiteGraph = artifact.graph
         self.phi: np.ndarray = artifact.phi
-        with obs_spans.span("hierarchy build"):
-            self.hierarchy: BitrussHierarchy = build_hierarchy(
-                artifact.graph, artifact.phi
-            )
+        self.hierarchy: BitrussHierarchy = build_hierarchy(
+            artifact.graph, artifact.phi
+        )
         self.allow_stale = allow_stale
         self._cache: "OrderedDict[Tuple, object]" = OrderedDict()
         self._cache_size = cache_size
@@ -182,9 +181,9 @@ class QueryEngine:
         The write side of localized φ maintenance
         (:meth:`repro.maintenance.dynamic.DynamicBipartiteGraph.apply`):
         the underlying artifact is patched in place, the hierarchy is
-        re-derived from the patched φ (one union-find sweep — no peeling),
-        and the memoized results are invalidated *selectively* when the
-        caller says how far the repair reached:
+        re-derived from the patched φ (one sweep of array operations per
+        φ level — no peeling), and the memoized results are invalidated
+        *selectively* when the caller says how far the repair reached:
 
         * ``community`` entries survive for levels strictly above
           ``max_affected_k`` — the k-bitrusses there are untouched, and the

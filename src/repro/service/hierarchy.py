@@ -5,19 +5,37 @@ their connected components: every component of ``H_k`` lies inside exactly
 one component of ``H_{k-1}``.  That containment relation is a forest whose
 nodes are *super-nodes* — maximal sets of edges that share a connected
 k-bitruss component at the node's level but settle no deeper — and it is
-the entire query index of the service layer: once built (one φ-descending
-union-find sweep, ``O(m α(n))`` after the sort), every structural query is
-answered in time linear in its output.
+the entire query index of the service layer: once built (one φ sort, then
+one sweep of array operations per occupied level), every structural query
+is answered in time linear in its output.
 
 Construction sweep
 ------------------
-Edges are processed by *descending* φ.  A union-find over global vertex
-ids maintains the connected components of the subgraph seen so far, which
-after finishing level ``k`` is exactly ``H_k``.  Finishing a level creates
-one new super-node per component that gained edges, whose children are the
-super-nodes of the previously-existing components it swallowed; levels at
-which a component is unchanged create no node, so the forest is compressed
-(parent levels strictly decrease along every upward path).
+Levels are processed by *descending* φ.  A union-find parent array over
+global vertex ids holds the connected components of the subgraph seen so
+far, which after finishing level ``k`` is exactly ``H_k``.  Each level is
+one batch of numpy operations, with no Python loop over its edges:
+
+1. a pointer-jumping ``find`` maps both endpoints of every level edge to
+   their current roots and compresses the queried vertices;
+2. a vertex-indexed scratch array numbers the distinct roots in order of
+   first appearance, which contracts the level to a small graph on them;
+3. hook-to-min plus pointer jumping labels that graph's components;
+4. each component becomes one new super-node, numbered by its first level
+   edge in ascending edge id — the order a per-edge sweep creates them in;
+5. the newest nodes of the old components it swallowed hang under it, and
+   its old roots are linked to its smallest vertex.
+
+Levels at which a component is unchanged create no node, so the forest is
+compressed (parent levels strictly decrease along every upward path).  A
+level of ``L`` edges costs a few ``O(L)`` array passes per hooking round
+and per pointer jump.  On the bundled datasets and on Chung–Lu graphs of
+up to 1M edges, no level needs more than four hooking rounds, and linking
+by smallest index keeps the union-find chains a find walks to at most
+three steps; a hostile vertex numbering can lengthen those chains, which
+costs time, never correctness.  Every level also pays a constant of a few
+dozen numpy calls, which matters only on graphs with many tiny levels: at
+a handful of edges per level a per-edge Python loop is faster.
 
 Flat storage
 ------------
@@ -30,11 +48,12 @@ of graph-linear.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
+from repro.obs import spans as obs_spans
 
 
 class BitrussHierarchy:
@@ -56,6 +75,9 @@ class BitrussHierarchy:
     edge_node:
         ``edge_node[e]`` — the super-node at which edge ``e`` settles (the
         component of ``H_{φ(e)}`` containing it).
+
+    ``phi_order`` is ``np.argsort(phi, kind="stable")``; pass it when it
+    is already at hand, and it is computed when omitted.
     """
 
     def __init__(
@@ -69,6 +91,7 @@ class BitrussHierarchy:
         node_edge_ptr: np.ndarray,
         node_edges: np.ndarray,
         vertex_best_edge: np.ndarray,
+        phi_order: Optional[np.ndarray] = None,
     ) -> None:
         self.graph = graph
         self.phi = phi
@@ -80,7 +103,9 @@ class BitrussHierarchy:
         self._node_edges = node_edges
         self._vertex_best_edge = vertex_best_edge
         # φ ascending with edge-id tie-break: the k-bitruss is a suffix.
-        self._phi_order = np.argsort(phi, kind="stable")
+        if phi_order is None:
+            phi_order = np.argsort(phi, kind="stable")
+        self._phi_order = phi_order
         self._phi_sorted = phi[self._phi_order]
         for arr in (
             self.phi,
@@ -245,31 +270,6 @@ class BitrussHierarchy:
                 raise AssertionError("edge settled at wrong level")
 
 
-class _UnionFind:
-    """Array-based union-find with path halving and union by size."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
-
-
 def build_hierarchy(graph: BipartiteGraph, phi: np.ndarray) -> BitrussHierarchy:
     """Build the containment forest from a finished decomposition.
 
@@ -283,68 +283,167 @@ def build_hierarchy(graph: BipartiteGraph, phi: np.ndarray) -> BitrussHierarchy:
     Returns
     -------
     BitrussHierarchy
-        The flat-array forest; construction is a single φ-descending
-        union-find sweep plus one DFS renumbering.
+        The flat-array forest; construction is one φ-descending sweep of
+        array operations per occupied level plus one DFS renumbering.
+
+    Examples
+    --------
+    >>> from repro.core.api import bitruss_decomposition
+    >>> from repro.graph.generators import paper_figure4_graph
+    >>> graph = paper_figure4_graph()
+    >>> forest = build_hierarchy(graph, bitruss_decomposition(graph).phi)
+    >>> forest.node_level.tolist(), forest.roots().tolist()
+    ([0, 1, 2], [0])
     """
-    # Private copy: the hierarchy freezes its φ, which must not leak into
-    # a caller-owned (possibly still writable) array.
-    phi = np.array(phi, dtype=np.int64, copy=True)
-    m = graph.num_edges
-    if len(phi) != m:
-        raise ValueError("phi must have one entry per edge")
+    with obs_spans.span("hierarchy build"):
+        # Private copy: the hierarchy freezes its φ, which must not leak
+        # into a caller-owned (possibly still writable) array.
+        phi = np.array(phi, dtype=np.int64, copy=True)
+        m = graph.num_edges
+        if len(phi) != m:
+            raise ValueError("phi must have one entry per edge")
+        # φ ascending with edge-id tie-break: each level is one run.
+        order = np.argsort(phi, kind="stable")
+        upper = graph.edge_upper[order] + graph.num_lower
+        lower = graph.edge_lower[order]
+        node_level, node_parent_raw, sorted_node = _level_sweep(
+            graph.num_vertices, upper, lower, phi[order]
+        )
+        new_id, dfs_level, dfs_parent, subtree_end = _dfs_renumber(
+            node_level, node_parent_raw
+        )
+        n_nodes = len(new_id)
 
-    n_l = graph.num_lower
-    edge_gu = (graph.edge_upper + n_l).tolist()
-    edge_gv = graph.edge_lower.tolist()
-    phi_list = phi.tolist()
-
-    uf = _UnionFind(graph.num_vertices)
-    comp_node: Dict[int, int] = {}  # current UF root -> its newest node
-    levels: List[int] = []
-    parents: List[int] = []
-    edge_node = np.full(m, -1, dtype=np.int64)
-
-    order = np.argsort(phi, kind="stable")
-    sorted_phi = phi[order]
-    # Occupied levels, descending; each creates the nodes of that level.
-    for k in np.unique(phi)[::-1].tolist():
-        lo = int(np.searchsorted(sorted_phi, k, side="left"))
-        hi = int(np.searchsorted(sorted_phi, k, side="right"))
-        level_eids = order[lo:hi].tolist()
-
-        # Components (from deeper levels) that this level's edges touch.
-        pre_roots = set()
-        for eid in level_eids:
-            pre_roots.add(uf.find(edge_gu[eid]))
-            pre_roots.add(uf.find(edge_gv[eid]))
-        for eid in level_eids:
-            uf.union(edge_gu[eid], edge_gv[eid])
-
-        # One new node per component that gained edges at this level.
-        new_nodes: Dict[int, int] = {}
-        for eid in level_eids:
-            root = uf.find(edge_gu[eid])
-            node = new_nodes.get(root)
-            if node is None:
-                node = len(levels)
-                levels.append(k)
-                parents.append(-1)
-                new_nodes[root] = node
-            edge_node[eid] = node
-        # Swallowed components hang their old nodes under the new one.
-        for old_root in pre_roots:
-            old_node = comp_node.pop(old_root, None)
-            if old_node is not None:
-                parents[old_node] = new_nodes[uf.find(old_root)]
-        comp_node.update(
-            (root, node) for root, node in new_nodes.items()
+        # Settle node per edge, and edge ids grouped by settle node: a
+        # node's edges share one φ, so the stable sort keeps them in
+        # ascending edge id.
+        sorted_node = new_id[sorted_node]
+        edge_node = np.empty(m, dtype=np.int64)
+        edge_node[order] = sorted_node
+        node_edges = order[np.argsort(sorted_node, kind="stable")]
+        node_edge_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(sorted_node, minlength=n_nodes), out=node_edge_ptr[1:]
         )
 
-    n_nodes = len(levels)
-    node_level = np.asarray(levels, dtype=np.int64)
-    node_parent_raw = np.asarray(parents, dtype=np.int64)
+        # Per-vertex best (max-φ) incident edge: ascending-φ writes, last
+        # wins.
+        vertex_best = np.full(graph.num_vertices, -1, dtype=np.int64)
+        vertex_best[lower] = order
+        vertex_best[upper] = order
 
-    # DFS preorder renumbering: subtrees become contiguous id ranges.
+        return BitrussHierarchy(
+            graph,
+            phi,
+            dfs_level,
+            dfs_parent,
+            subtree_end,
+            edge_node,
+            node_edge_ptr,
+            node_edges,
+            vertex_best,
+            phi_order=order,
+        )
+
+
+def _level_sweep(
+    n_v: int, upper: np.ndarray, lower: np.ndarray, sorted_phi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forest in creation order, from edges sorted by ascending φ.
+
+    ``upper``/``lower`` are the global endpoint ids of the sorted edges.
+    Returns the node levels, the node parents and each sorted edge's
+    node.  Levels are walked in descending φ over a union-find parent
+    array on vertex ids, one level per step with array operations only.
+    Node ids come out in creation order: descending level, then by the
+    component's first level edge in ascending edge id.
+    """
+    m = len(sorted_phi)
+    cuts = (np.flatnonzero(sorted_phi[1:] != sorted_phi[:-1]) + 1).tolist()
+    bounds = [0] + cuts + [m] if m else [0]
+    ramp = np.arange(2 * max(np.diff(bounds), default=0), dtype=np.int64)
+
+    uf = np.arange(n_v, dtype=np.int64)  # roots point at themselves
+    comp_node = np.full(n_v, -1, dtype=np.int64)  # root -> newest node
+    scratch = np.empty(n_v, dtype=np.int64)  # vertex -> local id
+    node_level = np.empty(m, dtype=np.int64)
+    node_parent = np.full(m, -1, dtype=np.int64)
+    sorted_node = np.empty(m, dtype=np.int64)
+    n_nodes = 0
+    for lo, hi in zip(reversed(bounds[:-1]), reversed(bounds[1:])):
+        size = hi - lo
+        ends = np.concatenate((upper[lo:hi], lower[lo:hi]))
+        # Roots of both endpoints before this level's unions; path
+        # compression on the queried vertices keeps later finds short.
+        roots = uf[ends]
+        deep = moved = (uf[roots] != roots).nonzero()[0]
+        while len(deep):
+            roots[deep] = uf[roots[deep]]
+            deep = deep[uf[roots[deep]] != roots[deep]]
+        uf[ends[moved]] = roots[moved]
+        # Local ids in order of first appearance: the smallest local id
+        # of a component is its first level edge's upper root.
+        slots = ramp[: 2 * size]
+        scratch[roots] = 2 * size
+        np.minimum.at(scratch, roots, slots)
+        uniq = roots[scratch[roots] == slots]
+        scratch[uniq] = slots[: len(uniq)]
+        local = scratch[roots]
+        # Components of the contracted level graph: hook each root to the
+        # smallest root it shares an edge with, pointer-jump to stars,
+        # and repeat on the edges whose endpoints still differ.
+        label = ramp[: len(uniq)].copy()
+        a, b = local[:size], local[size:]
+        while True:
+            keep = (a != b).nonzero()[0]
+            if not len(keep):
+                break
+            a, b = a[keep], b[keep]
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                jumped = label[label]
+                if not np.count_nonzero(jumped != label):
+                    break
+                label = jumped
+            a, b = label[a], label[b]
+        # Each component's root is its smallest local id, so ranking the
+        # roots numbers the new nodes by first level edge (the level
+        # runs in ascending edge id).
+        comp_roots = (label == slots[: len(uniq)]).nonzero()[0]
+        count = len(comp_roots)
+        new_nodes = np.arange(n_nodes, n_nodes + count, dtype=np.int64)
+        local_node = np.empty_like(label)
+        local_node[comp_roots] = new_nodes
+        local_node = local_node[label]
+        sorted_node[lo:hi] = local_node[local[:size]]
+        node_level[n_nodes : n_nodes + count] = sorted_phi[lo]
+        # Swallowed components hang their newest node under the new one.
+        old = comp_node[uniq]
+        had = old >= 0
+        node_parent[old[had]] = local_node[had]
+        n_nodes += count
+        if not lo:
+            break  # the lowest level is the last: no find reads its union
+        # Union: every old root points at its component's smallest vertex
+        # (linking by index keeps the parent chains short in practice).
+        rep = uniq.copy()
+        np.minimum.at(rep, label, uniq)
+        uf[uniq] = rep[label]
+        comp_node[uniq] = -1
+        comp_node[rep[comp_roots]] = new_nodes
+
+    return node_level[:n_nodes], node_parent[:n_nodes], sorted_node
+
+
+def _dfs_renumber(
+    node_level: np.ndarray, node_parent_raw: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """DFS preorder ids, so that subtrees become contiguous id ranges.
+
+    Returns ``new_id`` (creation id -> DFS id) and the DFS-ordered node
+    levels, node parents and subtree ends.
+    """
+    n_nodes = len(node_level)
     children: List[List[int]] = [[] for _ in range(n_nodes)]
     roots: List[int] = []
     for node in range(n_nodes):
@@ -378,36 +477,4 @@ def build_hierarchy(graph: BipartiteGraph, phi: np.ndarray) -> BitrussHierarchy:
                 stack.pop()
                 subtree_end[new_id[node]] = counter
 
-    if n_nodes:
-        edge_node = new_id[edge_node]
-
-    # Group edge ids by settle node (nodes already in DFS order).
-    if m:
-        grouping = np.argsort(edge_node, kind="stable")
-        node_edges = grouping.astype(np.int64)
-        node_edge_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(edge_node, minlength=n_nodes), out=node_edge_ptr[1:]
-        )
-    else:
-        node_edges = np.empty(0, dtype=np.int64)
-        node_edge_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
-
-    # Per-vertex best (max-φ) incident edge: ascending-φ writes, last wins.
-    vertex_best = np.full(graph.num_vertices, -1, dtype=np.int64)
-    if m:
-        asc = order
-        vertex_best[graph.edge_lower[asc]] = asc
-        vertex_best[graph.edge_upper[asc] + n_l] = asc
-
-    return BitrussHierarchy(
-        graph,
-        phi,
-        dfs_level,
-        dfs_parent,
-        subtree_end,
-        edge_node,
-        node_edge_ptr,
-        node_edges,
-        vertex_best,
-    )
+    return new_id, dfs_level, dfs_parent, subtree_end

@@ -18,7 +18,7 @@ is the array frontier :class:`repro.core.peeling_engine.PeelFrontier`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 
 class BucketQueue:

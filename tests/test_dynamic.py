@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.butterfly.counting import count_per_edge
-from repro.core import bit_bu_plus_plus
 from repro.datasets import load_dataset
 from repro.graph.bipartite import BipartiteGraph
 from repro.maintenance.dynamic import DynamicBipartiteGraph

@@ -28,7 +28,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.spans import Span, SpanRecorder
 from repro.obs.store import TraceRecord, TraceStore
 from repro.server import ArtifactRegistry, BitrussServer
-from repro.service import build_artifact
+from repro.service import QueryEngine, build_artifact
 
 
 def run(coro):
@@ -305,6 +305,36 @@ class TestSpanApi:
             cwd=str(Path(__file__).parent.parent),
         )
         assert proc.returncode == 0
+
+
+class TestHierarchyBuildSpan:
+    """Every hierarchy build records one ``hierarchy build`` span."""
+
+    @staticmethod
+    def _traced(fn):
+        with obs_trace.trace_context("hier01"):
+            with obs_spans.span("outer"):
+                fn()
+        return obs_spans.get_recorder().take_trace("hier01")
+
+    def test_engine_construction_nests_under_the_caller(self):
+        spans = self._traced(
+            lambda: QueryEngine(build_artifact(paper_figure4_graph()))
+        )
+        by_name = {s.name: s for s in spans}
+        builds = [s for s in spans if s.name == "hierarchy build"]
+        assert len(builds) == 1
+        assert builds[0].parent_id == by_name["outer"].span_id
+
+    def test_refresh_records_the_build(self):
+        engine = QueryEngine(build_artifact(paper_figure4_graph()))
+        spans = self._traced(engine.refresh)
+        assert [s.name for s in spans].count("hierarchy build") == 1
+
+    def test_patch_records_the_build(self):
+        engine = QueryEngine(build_artifact(paper_figure4_graph()))
+        spans = self._traced(lambda: engine.patch(engine.graph, engine.phi))
+        assert [s.name for s in spans].count("hierarchy build") == 1
 
 
 # -------------------------------------------------------------- trace store
