@@ -77,7 +77,11 @@ def bench_dataset(name):
 
 
 def _toggle_phase(name, dyn, tracker, phi0, cap, rng, edges):
-    """Single-edge toggles: the repaired-path >= 10x contract."""
+    """Single-edge toggles: the repaired-path >= 10x contract.
+
+    Each toggle is two batches of one op.  ``predict=False`` lets every
+    search run to the ``cap`` budget, so a fallback here is a real abort.
+    """
     repaired_s, abort_s = [], []
     region_sizes = []
     toggles = fallbacks = 0
@@ -86,7 +90,9 @@ def _toggle_phase(name, dyn, tracker, phi0, cap, rng, edges):
         if not dyn.has_edge(u, v):
             continue
         t0 = time.perf_counter()
-        report = tracker.delete(u, v, max_region_edges=cap)
+        report = tracker.apply_batch(
+            deletes=[(u, v)], max_region_edges=cap, predict=False
+        ).reports[0]
         if not report.fallback:
             _publish(tracker)
         delete_s = time.perf_counter() - t0
@@ -98,7 +104,9 @@ def _toggle_phase(name, dyn, tracker, phi0, cap, rng, edges):
             continue
         region_sizes.append(report.region_size)
         t0 = time.perf_counter()
-        report = tracker.insert(u, v, max_region_edges=cap)
+        report = tracker.apply_batch(
+            inserts=[(u, v)], max_region_edges=cap, predict=False
+        ).reports[0]
         if not report.fallback:
             _publish(tracker)
         insert_s = time.perf_counter() - t0

@@ -636,8 +636,6 @@ def _build_serve_registry(args: argparse.Namespace):
             incremental=args.rebuild_threshold > 0,
             rebuild_threshold=args.rebuild_threshold,
             max_incremental_batch=args.max_incremental_batch,
-            predict=not args.no_predict,
-            adaptive_budget=not args.no_adaptive_budget,
         )
         for name in registry.names():
             updates.attach(name)
@@ -1344,19 +1342,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="mutation batches with more net ops than this skip the "
         "batched in-place repair and go straight to one debounced "
         "rebuild (default 64)",
-    )
-    p_srv.add_argument(
-        "--no-predict",
-        action="store_true",
-        help="disable the fallback predictor (always run the region "
-        "search, paying the abort cost when it blows the budget)",
-    )
-    p_srv.add_argument(
-        "--no-adaptive-budget",
-        action="store_true",
-        help="pin the φ-repair region budget at the static "
-        "--rebuild-threshold ceiling instead of adapting it from "
-        "observed region sizes",
     )
     p_srv.add_argument(
         "--window-ms",

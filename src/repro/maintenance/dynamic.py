@@ -2,7 +2,7 @@
 
 The paper computes a static decomposition; real deployments (fraud feeds,
 rating streams) see edges arrive and disappear.  This module maintains
-*butterfly supports* exactly under single-edge insertions and deletions —
+*butterfly supports* exactly under edge insertions and deletions —
 the quantity every decomposition algorithm starts from — and offers a
 convenience ``decompose()`` that runs any static algorithm on the current
 snapshot.
@@ -16,11 +16,12 @@ per removal, paid here only for the edges that actually change.
 
 Full *bitruss-number* maintenance lives next door in
 :mod:`repro.maintenance.incremental`: :meth:`DynamicBipartiteGraph.enable_incremental`
-attaches an exact localized-φ-repair tracker, and :meth:`DynamicBipartiteGraph.apply`
-routes insert/delete batches through it, patching registered artifacts and
-query engines in place instead of leaving them stale.  ``decompose()``
-remains the honest recompute path and the supports maintained here make its
-counting phase free.
+attaches an exact localized-φ-repair tracker, and
+:meth:`DynamicBipartiteGraph.apply_batch` routes insert/delete batches (a
+single-edge update is a batch of one) through it, patching registered
+artifacts and query engines in place instead of leaving them stale.
+``decompose()`` remains the honest recompute path and the supports
+maintained here make its counting phase free.
 
 The graph also acts as a staleness source for the service layer: artifacts
 and query engines registered via :meth:`DynamicBipartiteGraph.register_artifact`
@@ -54,7 +55,7 @@ def _row_sets(csr) -> List[Set[int]]:
 
 @dataclass
 class ApplyOutcome:
-    """Result of one :meth:`DynamicBipartiteGraph.apply` batch.
+    """Result of one :meth:`DynamicBipartiteGraph.apply_batch` call.
 
     Attributes
     ----------
@@ -77,11 +78,6 @@ class ApplyOutcome:
     #: when the incremental batch path ran (predictor and merged-peel
     #: counters live there), ``None`` otherwise.
     batch: Optional[object] = None
-
-    @property
-    def region_size(self) -> int:
-        """Total edges re-peeled across the batch."""
-        return sum(r.region_size for r in self.reports)
 
     @property
     def max_affected_k(self) -> int:
@@ -108,12 +104,12 @@ class DynamicBipartiteGraph:
     >>> g = DynamicBipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0)])
     >>> g.support_of(0, 0)
     0
-    >>> g.insert_edge(1, 1)   # completes the butterfly
+    >>> g.apply_batch(inserts=[(1, 1)]).butterfly_delta  # completes it
     1
     >>> g.support_of(0, 0)
     1
-    >>> g.delete_edge(0, 1)
-    1
+    >>> g.apply_batch(deletes=[(0, 1)]).butterfly_delta
+    -1
     >>> g.support_of(0, 0)
     0
     """
@@ -278,8 +274,13 @@ class DynamicBipartiteGraph:
         """Live set-like view of the current edges (no copy)."""
         return self._support.keys()
 
-    def _butterfly_partners(self, u: int, v: int) -> List[Tuple[int, int]]:
-        """All ``(w, x)`` completing a butterfly with ``(u, v)`` (current)."""
+    def butterfly_partners(self, u: int, v: int) -> List[Tuple[int, int]]:
+        """All ``(w, x)`` completing a butterfly with ``(u, v)``.
+
+        The butterflies are ``{u, w} × {v, x}`` over the current edges;
+        ``(u, v)`` itself need not be present, so this lists both the
+        butterflies an insert would create and those a delete destroys.
+        """
         partners = []
         nu = self._adj_u[u]
         for w in self._adj_l[v]:
@@ -297,20 +298,16 @@ class DynamicBipartiteGraph:
             raise ValueError(f"edge ({u}, {v}) already present")
         # New butterflies are exactly the (w, x) completions that already
         # exist; each one bumps its three old edges and the new edge.
-        created = 0
-        nu = self._adj_u[u]
-        for w in self._adj_l[v]:
-            for x in self._adj_u[w]:
-                if x in nu:
-                    created += 1
-                    self._support[(u, x)] += 1
-                    self._support[(w, v)] += 1
-                    self._support[(w, x)] += 1
+        partners = self.butterfly_partners(u, v)
+        for w, x in partners:
+            self._support[(u, x)] += 1
+            self._support[(w, v)] += 1
+            self._support[(w, x)] += 1
         self._adj_u[u].add(v)
         self._adj_l[v].add(u)
-        self._support[(u, v)] = created
+        self._support[(u, v)] = len(partners)
         self.invalidate()
-        return created
+        return len(partners)
 
     def delete_edge(self, u: int, v: int) -> int:
         """Delete ``(u, v)``; returns the number of butterflies destroyed.
@@ -325,20 +322,16 @@ class DynamicBipartiteGraph:
         self._check_endpoints(u, v)
         if (u, v) not in self._support:
             raise ValueError(f"edge ({u}, {v}) not present")
+        partners = self.butterfly_partners(u, v)
+        for w, x in partners:
+            self._support[(u, x)] -= 1
+            self._support[(w, v)] -= 1
+            self._support[(w, x)] -= 1
         self._adj_u[u].discard(v)
         self._adj_l[v].discard(u)
-        destroyed = 0
-        nu = self._adj_u[u]
-        for w in self._adj_l[v]:
-            for x in self._adj_u[w]:
-                if x != v and x in nu:
-                    destroyed += 1
-                    self._support[(u, x)] -= 1
-                    self._support[(w, v)] -= 1
-                    self._support[(w, x)] -= 1
         del self._support[(u, v)]
         self.invalidate()
-        return destroyed
+        return len(partners)
 
     # ------------------------------------------------- incremental repair
 
@@ -358,8 +351,8 @@ class DynamicBipartiteGraph:
         -------
         IncrementalBitruss
             The tracker, also reachable via :attr:`tracker`.  While one is
-            attached, mutate through :meth:`apply` (or the tracker's own
-            ``insert`` / ``delete``) so φ stays in sync.
+            attached, mutate through :meth:`apply_batch` (or the tracker's
+            own ``apply_batch``) so φ stays in sync.
         """
         from repro.maintenance.incremental import IncrementalBitruss
 
@@ -416,30 +409,6 @@ class DynamicBipartiteGraph:
             inserted.add((u, v))
         return inserts, deletes
 
-    def apply(
-        self,
-        inserts: Iterable[Edge] = (),
-        deletes: Iterable[Edge] = (),
-        *,
-        incremental: bool = True,
-        max_region_fraction: Optional[float] = None,
-        patch_watchers: bool = True,
-    ) -> ApplyOutcome:
-        """Apply an edge batch, repairing φ and patching watchers in place.
-
-        A thin alias of :meth:`apply_batch` kept for the historical call
-        sites; see there for the batch-native semantics (atomic
-        validation, deferred merged peels, fallback predictor, adaptive
-        budget).
-        """
-        return self.apply_batch(
-            inserts,
-            deletes,
-            incremental=incremental,
-            max_region_fraction=max_region_fraction,
-            patch_watchers=patch_watchers,
-        )
-
     def apply_batch(
         self,
         inserts: Iterable[Edge] = (),
@@ -448,15 +417,15 @@ class DynamicBipartiteGraph:
         incremental: bool = True,
         max_region_fraction: Optional[float] = None,
         patch_watchers: bool = True,
-        predict: bool = True,
     ) -> ApplyOutcome:
         """Apply an edge batch, repairing φ and patching watchers in place.
 
-        The batch is validated up front (:meth:`validate_batch`) and
-        applied atomically: a malformed op raises before any mutation.
-        Deletions apply first, then insertions.  With ``incremental=True``
-        and a fresh tracker attached (:meth:`enable_incremental`), the
-        whole batch routes through
+        The only mutation path while a tracker is attached; a single-edge
+        update is a batch of one.  The batch is validated up front
+        (:meth:`validate_batch`) and applied atomically: a malformed op
+        raises before any mutation.  Deletions apply first, then
+        insertions.  With ``incremental=True`` and a fresh tracker attached
+        (:meth:`enable_incremental`), the whole batch routes through
         :meth:`~repro.maintenance.incremental.IncrementalBitruss.apply_batch`
         — one region per op, butterfly-disjoint regions merged into single
         multi-seed peels — and afterwards every registered watcher exposing
@@ -488,10 +457,6 @@ class DynamicBipartiteGraph:
         patch_watchers:
             ``False`` skips the watcher patching (the server's update
             manager does its own hot-swap on the event loop).
-        predict:
-            Skip the region BFS for ops whose bound × first-layer estimate
-            already exceeds the budget (no abort cost; the batch falls
-            back as if the search had aborted).
 
         Returns
         -------
@@ -518,10 +483,7 @@ class DynamicBipartiteGraph:
         )
         if use_tracker:
             batch = tracker.apply_batch(
-                inserts,
-                deletes,
-                budget_fraction=max_region_fraction,
-                predict=predict,
+                inserts, deletes, budget_fraction=max_region_fraction
             )
             outcome.batch = batch
             outcome.reports = batch.reports

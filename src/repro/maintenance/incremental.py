@@ -1,9 +1,10 @@
-"""Exact localized bitruss-number repair under single-edge updates.
+"""Exact localized bitruss-number repair under edge-update batches.
 
 :mod:`repro.maintenance.dynamic` keeps butterfly *supports* exact under
-edge insertions and deletions; this module closes the loop its docstring
-left open and keeps the *bitruss numbers* φ exact too — without ever
-re-peeling the whole graph.  One mutation triggers three localized steps:
+edge insertions and deletions; this module keeps the *bitruss numbers* φ
+exact too — without ever re-peeling the whole graph.  The one mutation
+entry point is :meth:`IncrementalBitruss.apply_batch`; a single-edge
+update is a batch of one.  Each op runs three localized steps:
 
 1. **Bound** how deep the change can reach.  Inserting ``e₀`` can only
    *raise* φ (every old k-bitruss is still a witness subgraph), and an edge
@@ -32,30 +33,26 @@ re-peeling the whole graph.  One mutation triggers three localized steps:
    bottom-up peel reproduces — bitwise — what a full recompute would assign
    the region edges.
 
-The φ values live in an endpoint-keyed dict (edge *ids* shift when the
-snapshot is resorted; endpoints are stable), and
-:meth:`IncrementalBitruss.phi_snapshot` lays them out against a frozen
-:class:`~repro.graph.bipartite.BipartiteGraph` so artifacts and query
-engines can be patched in place.  When a mutation's region outgrows the
-caller's budget (``max_region_edges``), the tracker marks itself dirty and
-the caller falls back to the full rebuild path — exactness is never traded
-for locality.
-
-**Batch path.** :meth:`IncrementalBitruss.apply_batch` amortizes the three
-steps across a whole mutation batch: each op collects its region as usual,
-but the sub-peel is *deferred* — pending regions accumulate until the batch
+The re-peel is *deferred*: pending regions accumulate until the batch
 ends or a later op's butterflies touch a pending interior edge (detected
 before any stale φ is read), at which point every pending region is merged
 into **one** multi-seed :func:`peel_region` call.  Coexisting pending
 regions are provably butterfly-disjoint (a shared butterfly would have
 triggered the conflict flush), so the merged peel is bitwise identical to
-peeling them one by one.  Two more batch-only economics fixes ride along:
-a **fallback predictor** (h-index bound × first-layer candidate count)
-skips the region BFS entirely for ops that will predictably exceed the
-budget — the old abort cost was ~5x a successful repair — and the budget
-itself adapts via an EWMA of observed region sizes
-(:class:`AdaptiveBudget`), so residual aborts stay cheap instead of paying
-the static ``rebuild_threshold × m`` work cap.
+peeling them one by one.
+
+The φ values live in an endpoint-keyed dict (edge *ids* shift when the
+snapshot is resorted; endpoints are stable), and
+:meth:`IncrementalBitruss.phi_snapshot` lays them out against a frozen
+:class:`~repro.graph.bipartite.BipartiteGraph` so artifacts and query
+engines can be patched in place.  When an op's region outgrows its budget,
+the tracker marks itself dirty and the caller falls back to the full
+rebuild path — exactness is never traded for locality.  The budget adapts
+via an EWMA of observed region sizes (:class:`AdaptiveBudget`) below the
+caller's ``budget_fraction × m`` ceiling (``max_region_edges`` pins it
+instead), and a **fallback predictor** (h-index bound × first-layer
+candidate count) skips the region BFS entirely for ops that will
+predictably exceed it — an abort costs ~5x a successful repair.
 """
 
 from __future__ import annotations
@@ -95,7 +92,7 @@ class DirtyTrackerError(RuntimeError):
 
 @dataclass
 class RepairReport:
-    """What one localized repair did (one per insert/delete).
+    """What one op's localized repair did (one per insert or delete).
 
     Attributes
     ----------
@@ -160,15 +157,11 @@ class AdaptiveBudget:
     caller's ceiling).  Typical regions still fit with an order of
     magnitude to spare; hopeless ones abort after a fraction of the old
     work.
-
-    ``enabled=False`` restores the static ceiling-only behaviour
-    (``--no-adaptive-budget`` on the serve CLI).
     """
 
     alpha: float = 0.25
     headroom: float = 8.0
     floor: int = 64
-    enabled: bool = True
     ewma: Optional[float] = None
     samples: int = 0
 
@@ -186,15 +179,15 @@ class AdaptiveBudget:
         """Current region budget in edges (``None`` = unbounded).
 
         ``fraction`` is the legacy ``rebuild_threshold`` ceiling; before the
-        first observation (or when disabled) it is the whole budget, after
-        that it only bounds the adaptive cap from above.  ``fraction=None``
-        means the caller has no rebuild fallback at all, so no budget is
-        imposed — adaptivity only ever *tightens* a finite ceiling.
+        first observation it is the whole budget, after that it only bounds
+        the adaptive cap from above.  ``fraction=None`` means the caller has
+        no rebuild fallback at all, so no budget is imposed — adaptivity
+        only ever *tightens* a finite ceiling.
         """
         if fraction is None:
             return None
         ceiling = int(fraction * max(1, num_edges))
-        if not self.enabled or self.ewma is None:
+        if self.ewma is None:
             return ceiling
         return min(ceiling, max(self.floor, int(self.headroom * self.ewma)))
 
@@ -264,14 +257,6 @@ class BatchReport:
         """Total edges whose φ was recomputed across the batch."""
         return sum(report.region_size for report in self.reports)
 
-    @property
-    def max_affected_k(self) -> int:
-        """Highest level whose k-bitruss may differ — the batch's single
-        selective cache-invalidation point."""
-        return max(
-            (report.max_affected_k for report in self.reports), default=0
-        )
-
 
 class IncrementalBitruss:
     """Maintain exact per-edge bitruss numbers on a dynamic graph.
@@ -280,9 +265,9 @@ class IncrementalBitruss:
     ----------
     dynamic:
         The :class:`~repro.maintenance.dynamic.DynamicBipartiteGraph` whose
-        φ to maintain.  The tracker drives the graph's own mutators, so use
-        :meth:`insert` / :meth:`delete` (or
-        :meth:`DynamicBipartiteGraph.apply`) instead of calling
+        φ to maintain.  The tracker drives the graph's own mutators, so
+        mutate through :meth:`apply_batch` (or
+        :meth:`DynamicBipartiteGraph.apply_batch`) instead of calling
         ``insert_edge`` / ``delete_edge`` directly while a tracker is live.
     phi:
         Initial bitruss numbers keyed by ``(u, v)`` endpoints, covering
@@ -294,11 +279,12 @@ class IncrementalBitruss:
     >>> from repro.maintenance.dynamic import DynamicBipartiteGraph
     >>> g = DynamicBipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0)])
     >>> tracker = IncrementalBitruss(g)
-    >>> tracker.insert(1, 1).changed[(0, 0)]
+    >>> batch = tracker.apply_batch(inserts=[(1, 1)])
+    >>> batch.reports[0].changed[(0, 0)]
     (0, 1)
     >>> tracker.phi_of(1, 1)
     1
-    >>> report = tracker.delete(0, 1)
+    >>> _ = tracker.apply_batch(deletes=[(0, 1)])
     >>> tracker.phi_of(0, 0)
     0
     """
@@ -317,8 +303,7 @@ class IncrementalBitruss:
         self._phi: Dict[Edge, int] = dict(phi)
         self._check_coverage()
         self.dirty = False
-        #: Adaptive region budget fed by :meth:`apply_batch`; callers may
-        #: flip ``budget.enabled`` off to restore the static threshold math.
+        #: Adaptive region budget fed by :meth:`apply_batch`.
         self.budget = AdaptiveBudget()
 
     # ------------------------------------------------------------ plumbing
@@ -388,18 +373,6 @@ class IncrementalBitruss:
 
     # ------------------------------------------------------ region search
 
-    def _flies_through(self, u: int, v: int) -> List[Tuple[int, int]]:
-        """Partner pairs ``(w, x)`` completing a butterfly with ``(u, v)``."""
-        partners = []
-        nu = self._dyn.neighbors_of_upper(u)
-        for w in self._dyn.neighbors_of_lower(v):
-            if w == u:
-                continue
-            for x in self._dyn.neighbors_of_upper(w):
-                if x != v and x in nu:
-                    partners.append((w, x))
-        return partners
-
     def _collect_region(
         self,
         seeds: Iterable[Edge],
@@ -420,7 +393,7 @@ class IncrementalBitruss:
         connecting it to the cascade.  Delete regions therefore descend in
         φ from the seeds instead of flooding the whole ``φ ≤ K`` component.
 
-        ``forbidden`` is the batch path's pending-interior set: those edges
+        ``forbidden`` is the batch's pending-interior set: those edges
         hold *stale* φ (their peel is deferred), so the search bails with
         :data:`_CONFLICT` the moment one appears in a touched butterfly —
         before any decision reads its φ.
@@ -451,7 +424,7 @@ class IncrementalBitruss:
                 return _BUDGET
             u, v = edge
             phi_self = phi[edge]
-            partners = self._flies_through(u, v)
+            partners = self._dyn.butterfly_partners(u, v)
             work += len(partners)
             if max_work is not None and work > max_work:
                 return _BUDGET
@@ -487,26 +460,32 @@ class IncrementalBitruss:
 
     def _search(
         self,
-        seeds: Iterable[Edge],
+        seeds: List[Edge],
         bound: int,
         mode: str,
-        max_region_edges: Optional[int],
-        forbidden: Optional[Set[Edge]] = None,
+        cap: Optional[int],
+        state: _BatchState,
     ):
-        """Region search phase: collect + enumeration parity check.
+        """Region search: collect, with one flush-and-retry on overlap.
 
-        Returns ``(region, flies)``, :data:`_BUDGET`, or :data:`_CONFLICT`.
-        The support-parity assert must run *here* (collect time), not at
-        the deferred peel: later batch mutations legitimately change
-        supports outside the pending regions.
+        A search that meets a pending interior edge flushes the pending
+        peels and collects again against the now exact φ.  Returns
+        ``(region, flies)`` or :data:`_BUDGET`.  The support-parity assert
+        must run *here* (collect time), not at the deferred peel: later
+        mutations of the batch legitimately change supports outside the
+        pending regions.
         """
         with obs_phases.phase("region search"):
-            collected = self._collect_region(
-                seeds, bound, mode, max_region_edges, forbidden
+            found = self._collect_region(
+                seeds, bound, mode, cap, state.pending_edges
             )
-        if collected is _BUDGET or collected is _CONFLICT:
-            return collected
-        region, flies = collected
+        if found is _CONFLICT:
+            self._conflict_flush(state)
+            with obs_phases.phase("region search"):
+                found = self._collect_region(seeds, bound, mode, cap)
+        if found is _BUDGET:
+            return found
+        region, flies = found
         if __debug__:
             # Safety net for the enumeration: a region edge's collected
             # butterfly count must equal its maintained support exactly.
@@ -519,17 +498,6 @@ class IncrementalBitruss:
                     f"butterfly enumeration out of sync at ({eu}, {ev})"
                 )
         return region, flies
-
-    def _abort(self, report: RepairReport) -> RepairReport:
-        """Record a budget fallback: the tracker is dirty from here on."""
-        self.mark_dirty()
-        report.fallback = True
-        obs_metrics.get_registry().counter(
-            "repro_incremental_budget_aborts_total",
-            "Region searches aborted by the max_region_edges budget "
-            "(each forces a full re-peel fallback).",
-        ).inc()
-        return report
 
     def _peel_pending(self, pending: List[_PendingRegion]) -> None:
         """Peel every pending region in ONE multi-seed ``peel_region`` call.
@@ -600,29 +568,12 @@ class IncrementalBitruss:
         state.pending.clear()
         state.pending_edges.clear()
 
-    def _repair(
-        self,
-        seeds: Iterable[Edge],
-        bound: int,
-        mode: str,
-        max_region_edges: Optional[int],
-        report: RepairReport,
-    ) -> RepairReport:
-        """Immediate-mode repair: search, then peel right away."""
-        found = self._search(seeds, bound, mode, max_region_edges)
-        if found is _BUDGET:
-            return self._abort(report)
-        region, flies = found
-        report.region_size = len(region)
-        num_edges = self._dyn.num_edges
-        report.region_fraction = len(region) / num_edges if num_edges else 0.0
-        if region:
-            self._peel_pending(
-                [_PendingRegion(region=region, flies=flies, report=report)]
-            )
-        return report
+    def _conflict_flush(self, state: _BatchState) -> None:
+        """Flush early because an op overlaps a pending region."""
+        state.conflict_flushes += 1
+        self._flush(state)
 
-    # ------------------------------------------------- shared op helpers
+    # --------------------------------------------------------- op helpers
 
     def _insert_bound(
         self, u: int, v: int, partners: List[Tuple[int, int]]
@@ -668,91 +619,6 @@ class IncrementalBitruss:
                         seeded.add(edge)
                         seeds.append(edge)
         return seeds
-
-    # ----------------------------------------------------------- mutation
-
-    def insert(
-        self,
-        u: int,
-        v: int,
-        *,
-        max_region_edges: Optional[int] = None,
-    ) -> RepairReport:
-        """Insert edge ``(u, v)`` and repair φ in its affected region.
-
-        Parameters
-        ----------
-        u, v:
-            Endpoints (must be in range; the edge must be absent).
-        max_region_edges:
-            Region budget; exceeding it leaves the mutation applied but φ
-            unrepaired — the tracker goes dirty and ``report.fallback`` is
-            set so the caller can schedule a full rebuild.
-
-        Returns
-        -------
-        RepairReport
-        """
-        created = self._dyn.insert_edge(u, v)
-        report = RepairReport(op="insert", edge=(u, v), butterflies=created)
-        if self.dirty:
-            report.fallback = True
-            return report
-        self._phi[(u, v)] = 0
-        if created == 0:
-            # No butterflies: the new edge settles at φ = 0 and no support
-            # moved anywhere, so the decomposition is already exact.
-            return report
-
-        bound = self._insert_bound(u, v, self._flies_through(u, v))
-        report.k_bound = bound
-        report.changed[(u, v)] = (-1, 0)
-        if bound == 0:
-            return report
-        report = self._repair(
-            [(u, v)], bound, "insert", max_region_edges, report
-        )
-        if not report.fallback:
-            new_value = self._phi[(u, v)]
-            report.changed[(u, v)] = (-1, new_value)
-        return report
-
-    def delete(
-        self,
-        u: int,
-        v: int,
-        *,
-        max_region_edges: Optional[int] = None,
-    ) -> RepairReport:
-        """Delete edge ``(u, v)`` and repair φ in its affected region.
-
-        See :meth:`insert` for the budget semantics; the bound here is
-        exact (``K = φ_old(u, v)``) because deletion can only pull edges at
-        or below the deleted edge's own level.
-        """
-        if self.dirty:
-            destroyed = self._dyn.delete_edge(u, v)
-            return RepairReport(
-                op="delete", edge=(u, v), butterflies=destroyed, fallback=True
-            )
-        if (u, v) not in self._phi:
-            # Delegate the error surface to the graph's own range checks.
-            self._dyn.delete_edge(u, v)
-            raise AssertionError("unreachable")  # pragma: no cover
-        bound = self._phi[(u, v)]
-        seeds = self._delete_seeds(u, v, bound, self._flies_through(u, v))
-        destroyed = self._dyn.delete_edge(u, v)
-        del self._phi[(u, v)]
-        report = RepairReport(
-            op="delete", edge=(u, v), butterflies=destroyed, k_bound=bound
-        )
-        if destroyed == 0 or bound == 0 or not seeds:
-            # Either no butterfly died, or every edge that lost one already
-            # sits at φ = 0 (φ ≥ 0 cannot drop further): nothing to repair.
-            return report
-        return self._repair(seeds, bound, "delete", max_region_edges, report)
-
-    # -------------------------------------------------------- batch path
 
     def _conflicts(
         self,
@@ -811,10 +677,10 @@ class IncrementalBitruss:
             return state.max_region_edges
         return self.budget.cap(self._dyn.num_edges, state.budget_fraction)
 
-    def _batch_fallback(
+    def _fallback(
         self, report: RepairReport, state: _BatchState, predicted: bool
     ) -> RepairReport:
-        """Fallback inside a batch: land pending peels, then go dirty.
+        """Give up on φ: land pending peels, then go dirty.
 
         The pending regions were collected against exact φ and are
         untouched by this op's mutation (the conflict check cleared it), so
@@ -830,16 +696,22 @@ class IncrementalBitruss:
                 "Ops whose region search was skipped because the "
                 "bound × first-layer estimate exceeded the budget.",
             ).inc()
-            self.mark_dirty()
-            report.fallback = True
-            return report
-        state.budget_aborts += 1
-        registry.counter(
-            "repro_incremental_predictor_misses_total",
-            "Region searches the predictor allowed that still aborted "
-            "on the budget.",
-        ).inc()
-        return self._abort(report)
+        else:
+            state.budget_aborts += 1
+            if state.predict:
+                registry.counter(
+                    "repro_incremental_predictor_misses_total",
+                    "Region searches the predictor allowed that still "
+                    "aborted on the budget.",
+                ).inc()
+            registry.counter(
+                "repro_incremental_budget_aborts_total",
+                "Region searches aborted by the max_region_edges budget "
+                "(each forces a full re-peel fallback).",
+            ).inc()
+        self.mark_dirty()
+        report.fallback = True
+        return report
 
     def _defer(
         self,
@@ -871,33 +743,18 @@ class IncrementalBitruss:
         )
         state.pending_edges.update(region)
 
-    def _search_batched(
-        self,
-        seeds: List[Edge],
-        bound: int,
-        mode: str,
-        cap: Optional[int],
-        state: _BatchState,
-    ):
-        """Search with conflict detection; one flush-and-retry on overlap."""
-        found = self._search(seeds, bound, mode, cap, state.pending_edges)
-        if found is _CONFLICT:
-            state.conflict_flushes += 1
-            self._flush(state)
-            found = self._search(seeds, bound, mode, cap)
-        return found
+    # ----------------------------------------------------------- mutation
 
-    def _insert_batched(
-        self, u: int, v: int, state: _BatchState
-    ) -> RepairReport:
-        partners = self._flies_through(u, v)  # pre-insert completions
+    def _insert(self, u: int, v: int, state: _BatchState) -> RepairReport:
+        partners = self._dyn.butterfly_partners(u, v)  # pre-insert
         if self._conflicts(None, partners, u, v, state):
-            state.conflict_flushes += 1
-            self._flush(state)
+            self._conflict_flush(state)
         created = self._dyn.insert_edge(u, v)
         report = RepairReport(op="insert", edge=(u, v), butterflies=created)
         self._phi[(u, v)] = 0
         if created == 0:
+            # No butterflies: the new edge settles at φ = 0 and no support
+            # moved anywhere, so the decomposition is already exact.
             return report
         bound = self._insert_bound(u, v, partners)
         report.k_bound = bound
@@ -913,21 +770,20 @@ class IncrementalBitruss:
                     if phi[other] < bound:
                         first_layer.add(other)
             if self._predicted_blowout(bound, len(first_layer), cap, state):
-                return self._batch_fallback(report, state, predicted=True)
-        found = self._search_batched([(u, v)], bound, "insert", cap, state)
+                return self._fallback(report, state, predicted=True)
+        found = self._search([(u, v)], bound, "insert", cap, state)
         if found is _BUDGET:
-            return self._batch_fallback(report, state, predicted=False)
+            return self._fallback(report, state, predicted=False)
         region, flies = found
         self._defer(region, flies, report, state, inserted=(u, v))
         return report
 
-    def _delete_batched(
-        self, u: int, v: int, state: _BatchState
-    ) -> RepairReport:
-        partners = self._flies_through(u, v)  # pre-delete enumeration
+    def _delete(self, u: int, v: int, state: _BatchState) -> RepairReport:
+        partners = self._dyn.butterfly_partners(u, v)  # pre-delete
         if self._conflicts((u, v), partners, u, v, state):
-            state.conflict_flushes += 1
-            self._flush(state)
+            self._conflict_flush(state)
+        # The bound K = φ_old(u, v) is exact: deletion can only pull edges
+        # at or below the deleted edge's own level.
         bound = self._phi[(u, v)]
         seeds = self._delete_seeds(u, v, bound, partners)
         destroyed = self._dyn.delete_edge(u, v)
@@ -941,10 +797,10 @@ class IncrementalBitruss:
             return report
         cap = self._cap_for_op(state)
         if self._predicted_blowout(bound, len(seeds), cap, state):
-            return self._batch_fallback(report, state, predicted=True)
-        found = self._search_batched(seeds, bound, "delete", cap, state)
+            return self._fallback(report, state, predicted=True)
+        found = self._search(seeds, bound, "delete", cap, state)
         if found is _BUDGET:
-            return self._batch_fallback(report, state, predicted=False)
+            return self._fallback(report, state, predicted=False)
         region, flies = found
         self._defer(region, flies, report, state)
         return report
@@ -958,25 +814,40 @@ class IncrementalBitruss:
         budget_fraction: Optional[float] = None,
         predict: bool = True,
     ) -> BatchReport:
-        """Apply a mutation batch with deferred, merged region peels.
+        """Apply a mutation batch and repair φ in its affected regions.
 
-        The whole batch is validated against the current graph *before*
+        The only mutation entry point: a single-edge update is
+        ``apply_batch(inserts=[e])`` or ``apply_batch(deletes=[e])``.  The
+        whole batch is validated against the current graph *before*
         anything mutates (see
         :meth:`DynamicBipartiteGraph.validate_batch`); a bad op raises
         ``ValueError`` and leaves graph and tracker untouched.  Deletes
         apply before inserts, so a delete+insert of the same edge is a
         toggle.
 
-        Each op collects its region as in :meth:`insert` / :meth:`delete`,
-        but peels are deferred and merged: butterfly-disjoint regions
+        Each op bounds and collects its region (see the module docstring);
+        peels are deferred and merged: butterfly-disjoint regions
         accumulate until the batch ends (or an overlap forces a flush) and
-        then re-peel in one multi-seed :func:`peel_region` call.  The
-        region budget defaults to the tracker's :class:`AdaptiveBudget`
-        bounded by ``budget_fraction × m`` (``max_region_edges``
-        overrides both), and ``predict=True`` skips the BFS for ops the
-        bound × first-layer estimate marks hopeless.  After any fallback
-        (predicted or aborted) the tracker is dirty and the remaining ops
-        apply support-only, exactly as the per-op path behaves.
+        then re-peel in one multi-seed :func:`peel_region` call.
+
+        Parameters
+        ----------
+        inserts, deletes:
+            ``(u, v)`` pairs.
+        max_region_edges:
+            Per-op region budget in edges; overrides the adaptive budget.
+            An op whose region outgrows it (or is predicted to) leaves its
+            mutation applied but φ unrepaired: the tracker goes dirty, the
+            op's report has ``fallback`` set, and the remaining ops apply
+            support-only, so the caller can schedule one full rebuild.
+        budget_fraction:
+            Ceiling on the tracker's :class:`AdaptiveBudget` as a fraction
+            of the edge count.  With neither budget given, the search is
+            unbounded.
+        predict:
+            Skip the region search for ops whose bound × first-layer
+            estimate already exceeds the budget.  ``False`` runs every
+            search until it completes or exhausts the budget.
 
         Returns
         -------
@@ -1014,9 +885,9 @@ class IncrementalBitruss:
                         fallback=True,
                     )
             elif kind == "insert":
-                report = self._insert_batched(u, v, state)
+                report = self._insert(u, v, state)
             else:
-                report = self._delete_batched(u, v, state)
+                report = self._delete(u, v, state)
             batch.reports.append(report)
         self._flush(state)
         batch.predicted_fallbacks = state.predicted_fallbacks

@@ -91,14 +91,6 @@ class UpdateManager:
         Batches with more ops than this skip the batched repair and go
         straight to one debounced rebuild (a bulk load should not pay m
         localized re-peels).
-    predict:
-        Let the tracker skip the region search for ops whose h-index ×
-        first-layer estimate already exceeds the budget (default on; a
-        predicted fallback costs microseconds instead of an abort).
-    adaptive_budget:
-        Tighten each attached tracker's region budget from its EWMA of
-        observed region sizes (default on); off pins the budget at the
-        static ``rebuild_threshold`` ceiling.
     """
 
     def __init__(
@@ -111,8 +103,6 @@ class UpdateManager:
         incremental: bool = True,
         rebuild_threshold: float = 0.15,
         max_incremental_batch: int = 64,
-        predict: bool = True,
-        adaptive_budget: bool = True,
     ) -> None:
         if debounce < 0:
             raise ValueError("debounce must be non-negative")
@@ -126,8 +116,6 @@ class UpdateManager:
         self.incremental = incremental
         self.rebuild_threshold = rebuild_threshold
         self.max_incremental_batch = max_incremental_batch
-        self.predict = predict
-        self.adaptive_budget = adaptive_budget
         self._executor = executor
         self._dynamics: Dict[str, DynamicBipartiteGraph] = {}
         self._gen: Dict[str, int] = {}
@@ -180,8 +168,6 @@ class UpdateManager:
                 # A caller-supplied mirror that already drifted from the
                 # artifact: let the tracker compute its own seed.
                 dynamic.enable_incremental()
-        if dynamic.tracker is not None:
-            dynamic.tracker.budget.enabled = self.adaptive_budget
         return dynamic
 
     def is_mutable(self, name: str) -> bool:
@@ -329,7 +315,6 @@ class UpdateManager:
                 deletes,
                 max_region_fraction=self.rebuild_threshold,
                 patch_watchers=False,
-                predict=self.predict,
             )
             if outcome.batch is not None:
                 self._predicted[name] += outcome.batch.predicted_fallbacks

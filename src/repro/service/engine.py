@@ -179,45 +179,25 @@ class QueryEngine:
         """Adopt an incrementally repaired decomposition without recompute.
 
         The write side of localized φ maintenance
-        (:meth:`repro.maintenance.dynamic.DynamicBipartiteGraph.apply`):
+        (:meth:`repro.maintenance.dynamic.DynamicBipartiteGraph.apply_batch`):
         the underlying artifact is patched in place, the hierarchy is
         re-derived from the patched φ (one sweep of array operations per
         φ level — no peeling), and the memoized results are invalidated
-        *selectively* when the caller says how far the repair reached:
-
-        * ``community`` entries survive for levels strictly above
-          ``max_affected_k`` — the k-bitrusses there are untouched, and the
-          cached value stores endpoint pairs, not (reassigned) edge ids;
-        * ``max_k`` entries survive for vertices outside ``affected_gids``
-          (no incident edge changed φ or existence);
-        * everything keyed by edge ids (``k_bitruss``,
-          ``hierarchy_path``) and the global ``phi_histogram`` drop
-          unconditionally — edge ids shift whenever the snapshot resorts.
-
-        Without both hints, the whole cache is dropped.
+        *selectively* by :func:`_surviving_entries` when the caller says
+        how far the repair reached.  Without both hints, the whole cache
+        is dropped.
         """
-        # Vertex-keyed cache entries are only transplantable while the gid
-        # space is unchanged (adding a lower vertex shifts every upper gid).
-        same_layers = (
-            self.graph.num_upper == graph.num_upper
-            and self.graph.num_lower == graph.num_lower
-        )
+        old_graph = self.graph
         self.artifact.patch(graph, phi)
         self.graph = self.artifact.graph
         self.phi = self.artifact.phi
         self.hierarchy = build_hierarchy(self.artifact.graph, self.artifact.phi)
         self._decomposition = None
-        if max_affected_k is None or affected_gids is None or not same_layers:
-            self.clear_cache()
-            return
-        survivors = OrderedDict()
-        for key, value in self._cache.items():
-            op = key[0]
-            if op == "community" and key[1] > max_affected_k:
-                survivors[key] = value
-            elif op == "max_k" and key[1] not in affected_gids:
-                survivors[key] = value
-        self._cache = survivors
+        self._cache = OrderedDict(
+            _surviving_entries(
+                self._cache, old_graph, graph, max_affected_k, affected_gids
+            )
+        )
 
     def adopt_cache(
         self,
@@ -230,33 +210,25 @@ class QueryEngine:
 
         The server publishes a batch as a *new* engine (in-flight leases
         keep the old one), which used to mean every publish started cold.
-        This applies :meth:`patch`'s selective-invalidation rule across
-        instances instead: ``community`` entries strictly above the batch's
-        ``max_affected_k`` and ``max_k`` entries for vertices outside
-        ``affected_gids`` are bitwise unaffected by the batch, so they are
-        copied into this engine's cache.  Entries are adopted only up to
-        the cache capacity; without both hints, or when the layer sizes
-        differ (the gid space shifted), nothing is adopted.
+        This applies :meth:`patch`'s selective-invalidation rule
+        (:func:`_surviving_entries`) across instances instead: the
+        predecessor's entries the batch provably left unchanged are copied
+        into this engine's cache, up to its capacity.
 
         Returns the number of adopted entries.
         """
-        if max_affected_k is None or affected_gids is None:
-            return 0
-        if (
-            self.graph.num_upper != predecessor.graph.num_upper
-            or self.graph.num_lower != predecessor.graph.num_lower
-        ):
-            return 0
         adopted = 0
-        for key, value in predecessor._cache.items():
-            op = key[0]
-            if (op == "community" and key[1] > max_affected_k) or (
-                op == "max_k" and key[1] not in affected_gids
-            ):
-                if len(self._cache) >= self._cache_size:
-                    break
-                self._cache[key] = value
-                adopted += 1
+        for key, value in _surviving_entries(
+            predecessor._cache,
+            predecessor.graph,
+            self.graph,
+            max_affected_k,
+            affected_gids,
+        ):
+            if len(self._cache) >= self._cache_size:
+                break
+            self._cache[key] = value
+            adopted += 1
         return adopted
 
     def _check_fresh(self) -> None:
@@ -529,3 +501,38 @@ class _Missing:
 
 
 _MISSING = _Missing()
+
+
+def _surviving_entries(cache, old_graph, new_graph, max_affected_k, affected_gids):
+    """Yield the cache entries a mutation batch provably left unchanged.
+
+    The one cache-survival rule of :meth:`QueryEngine.patch` and
+    :meth:`QueryEngine.adopt_cache`:
+
+    * ``community`` entries survive for levels strictly above
+      ``max_affected_k`` — the k-bitrusses there are untouched, and the
+      cached value stores endpoint pairs, not (reassigned) edge ids;
+    * ``max_k`` entries survive for vertices outside ``affected_gids``
+      (no incident edge changed φ or existence);
+    * everything keyed by edge ids (``k_bitruss``, ``hierarchy_path``)
+      and the global ``phi_histogram`` drop — edge ids shift whenever the
+      snapshot resorts.
+
+    Nothing survives without both hints, or when the layer sizes of
+    ``old_graph`` and ``new_graph`` differ: vertex-keyed entries are only
+    transplantable while the gid space is unchanged (adding a lower vertex
+    shifts every upper gid).
+    """
+    if max_affected_k is None or affected_gids is None:
+        return
+    if (
+        old_graph.num_upper != new_graph.num_upper
+        or old_graph.num_lower != new_graph.num_lower
+    ):
+        return
+    for key, value in cache.items():
+        op = key[0]
+        if (op == "community" and key[1] > max_affected_k) or (
+            op == "max_k" and key[1] not in affected_gids
+        ):
+            yield key, value

@@ -444,37 +444,34 @@ def _dfs_renumber(
     levels, node parents and subtree ends.
     """
     n_nodes = len(node_level)
+    parents = node_parent_raw.tolist()
     children: List[List[int]] = [[] for _ in range(n_nodes)]
     roots: List[int] = []
-    for node in range(n_nodes):
-        parent = int(node_parent_raw[node])
+    for node, parent in enumerate(parents):
         if parent >= 0:
             children[parent].append(node)
         else:
             roots.append(node)
-    new_id = np.empty(n_nodes, dtype=np.int64)
-    dfs_level = np.empty(n_nodes, dtype=np.int64)
-    dfs_parent = np.full(n_nodes, -1, dtype=np.int64)
-    subtree_end = np.empty(n_nodes, dtype=np.int64)
-    counter = 0
-    for root in roots:
-        # (node, child-cursor) explicit stack; post-visit sets the range end.
-        stack: List[Tuple[int, int]] = [(root, 0)]
-        new_id[root] = counter
-        dfs_level[counter] = node_level[root]
-        counter += 1
-        while stack:
-            node, cursor = stack[-1]
-            if cursor < len(children[node]):
-                stack[-1] = (node, cursor + 1)
-                child = children[node][cursor]
-                new_id[child] = counter
-                dfs_level[counter] = node_level[child]
-                dfs_parent[counter] = new_id[node]
-                counter += 1
-                stack.append((child, 0))
-            else:
-                stack.pop()
-                subtree_end[new_id[node]] = counter
+    # The walk runs over Python lists; the arrays are written once at the
+    # end.  Children are pushed reversed, so they pop in creation order.
+    order: List[int] = []
+    stack = roots[::-1]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(reversed(children[node]))
+    size = [1] * n_nodes
+    for node in reversed(order):  # every child before its parent
+        if parents[node] >= 0:
+            size[parents[node]] += size[node]
 
+    order_arr = np.array(order, dtype=np.int64)
+    new_id = np.empty(n_nodes, dtype=np.int64)
+    new_id[order_arr] = np.arange(n_nodes, dtype=np.int64)
+    dfs_level = np.asarray(node_level, dtype=np.int64)[order_arr]
+    parent_of = np.asarray(node_parent_raw, dtype=np.int64)[order_arr]
+    dfs_parent = np.where(parent_of >= 0, new_id[parent_of], -1)
+    subtree_end = np.arange(n_nodes, dtype=np.int64) + np.array(
+        size, dtype=np.int64
+    )[order_arr]
     return new_id, dfs_level, dfs_parent, subtree_end

@@ -14,7 +14,7 @@ from repro.maintenance import (
     DynamicBipartiteGraph,
     IncrementalBitruss,
 )
-from repro.service import QueryEngine, build_artifact
+from repro.service import DecompositionArtifact, QueryEngine, build_artifact
 
 ALGORITHM = "bit-bu-csr"
 
@@ -27,6 +27,13 @@ def fresh_phi(dyn):
         graph.edge_endpoints(e): int(result.phi[e])
         for e in range(graph.num_edges)
     }
+
+
+def toggle(dyn, tracker, u, v):
+    """Delete ``(u, v)`` if present, else insert it: a batch of one op."""
+    if dyn.has_edge(u, v):
+        return tracker.apply_batch(deletes=[(u, v)]).reports[0]
+    return tracker.apply_batch(inserts=[(u, v)]).reports[0]
 
 
 def assert_exact(tracker):
@@ -74,7 +81,7 @@ class TestExactness:
     def test_insert_completing_butterfly(self):
         dyn = DynamicBipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0)])
         tracker = dyn.enable_incremental()
-        report = tracker.insert(1, 1)
+        report = tracker.apply_batch(inserts=[(1, 1)]).reports[0]
         assert report.op == "insert"
         assert report.butterflies == 1
         assert report.changed[(1, 1)] == (-1, 1)
@@ -85,7 +92,7 @@ class TestExactness:
     def test_delete_breaking_butterfly(self):
         dyn = DynamicBipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         tracker = dyn.enable_incremental()
-        report = tracker.delete(0, 1)
+        report = tracker.apply_batch(deletes=[(0, 1)]).reports[0]
         assert report.op == "delete"
         assert report.butterflies == 1
         assert tracker.phi_of(0, 0) == 0
@@ -95,8 +102,8 @@ class TestExactness:
         dyn = DynamicBipartiteGraph(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
         tracker = dyn.enable_incremental()
         before = tracker.phi_map()
-        tracker.insert(2, 0)
-        tracker.delete(2, 0)
+        tracker.apply_batch(inserts=[(2, 0)])
+        tracker.apply_batch(deletes=[(2, 0)])
         assert tracker.phi_map() == before
 
     def test_cascading_rise(self):
@@ -105,7 +112,7 @@ class TestExactness:
         edges.remove((1, 3))
         dyn = DynamicBipartiteGraph(2, 4, edges)
         tracker = dyn.enable_incremental()
-        report = tracker.insert(1, 3)
+        report = tracker.apply_batch(inserts=[(1, 3)]).reports[0]
         assert tracker.phi_of(0, 0) == 3
         assert report.region_size == len(edges) + 1
         assert_exact(tracker)
@@ -117,10 +124,7 @@ class TestExactness:
             tracker = dyn.enable_incremental()
             for _ in range(30):
                 u, v = int(rng.integers(0, 5)), int(rng.integers(0, 5))
-                if dyn.has_edge(u, v):
-                    tracker.delete(u, v)
-                else:
-                    tracker.insert(u, v)
+                toggle(dyn, tracker, u, v)
                 assert_exact(tracker)
 
 
@@ -137,10 +141,7 @@ def test_random_churn_property(ops):
     dyn = DynamicBipartiteGraph(5, 5)
     tracker = dyn.enable_incremental()
     for u, v in ops:
-        if dyn.has_edge(u, v):
-            tracker.delete(u, v)
-        else:
-            tracker.insert(u, v)
+        toggle(dyn, tracker, u, v)
         assert_exact(tracker)
 
 
@@ -164,10 +165,7 @@ def test_bundled_dataset_churn(name):
     steps = 0
     while steps < 8:
         u, v = edges[int(rng.integers(0, len(edges)))]
-        if dyn.has_edge(u, v):
-            tracker.delete(u, v)
-        else:
-            tracker.insert(u, v)
+        toggle(dyn, tracker, u, v)
         assert_exact(tracker)
         steps += 1
 
@@ -179,17 +177,21 @@ class TestRegionsAndFallback:
     def test_support_zero_ops_touch_nothing(self):
         dyn = DynamicBipartiteGraph(3, 3, [(0, 0), (1, 1), (2, 2)])
         tracker = dyn.enable_incremental()
-        report = tracker.insert(0, 1)
+        report = tracker.apply_batch(inserts=[(0, 1)]).reports[0]
         assert report.butterflies == 0
         assert report.region_size == 0
-        report = tracker.delete(0, 1)
+        report = tracker.apply_batch(deletes=[(0, 1)]).reports[0]
         assert report.region_size == 0
         assert_exact(tracker)
 
     def test_budget_exceeded_marks_dirty(self):
         dyn = DynamicBipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0)])
         tracker = dyn.enable_incremental()
-        report = tracker.insert(1, 1, max_region_edges=0)
+        batch = tracker.apply_batch(
+            inserts=[(1, 1)], max_region_edges=0, predict=False
+        )
+        assert batch.budget_aborts == 1
+        report = batch.reports[0]
         assert report.fallback
         assert tracker.dirty
         # The mutation itself is applied; supports stay exact.
@@ -200,7 +202,7 @@ class TestRegionsAndFallback:
         with pytest.raises(DirtyTrackerError):
             tracker.phi_snapshot()
         # Further mutations keep applying without repair ...
-        report = tracker.delete(0, 1)
+        report = tracker.apply_batch(deletes=[(0, 1)]).reports[0]
         assert report.fallback
         # ... until a reseed restores service.
         tracker.reseed(fresh_phi(dyn))
@@ -210,7 +212,9 @@ class TestRegionsAndFallback:
     def test_rebuild_reseeds_attached_tracker(self):
         dyn = DynamicBipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0)])
         tracker = dyn.enable_incremental()
-        tracker.insert(1, 1, max_region_edges=0)
+        tracker.apply_batch(
+            inserts=[(1, 1)], max_region_edges=0, predict=False
+        )
         assert tracker.dirty
         dyn.rebuild()
         assert not tracker.dirty
@@ -230,7 +234,7 @@ class TestRegionsAndFallback:
         edges += [(4, 0), (4, 1), (5, 0), (5, 1)]  # 2x2 fringe on v=0,1
         dyn = DynamicBipartiteGraph(6, 4, edges)
         tracker = dyn.enable_incremental()
-        report = tracker.delete(4, 0)
+        report = tracker.apply_batch(deletes=[(4, 0)]).reports[0]
         # The fringe edges sit far below the K44 core's phi; the repair
         # region stays in the fringe.
         assert report.region_size <= 6
@@ -254,7 +258,7 @@ class TestPatchInPlace:
 
     def test_apply_patches_engine_instead_of_stale(self):
         dyn, engine = self.make_two_component_engine()
-        outcome = dyn.apply(inserts=[(1, 1)])
+        outcome = dyn.apply_batch(inserts=[(1, 1)])
         assert outcome.incremental
         assert outcome.patched == 1
         assert outcome.butterfly_delta == 1
@@ -270,9 +274,9 @@ class TestPatchInPlace:
         for _ in range(12):
             u, v = int(rng.integers(0, 5)), int(rng.integers(0, 5))
             if dyn.has_edge(u, v):
-                outcome = dyn.apply(deletes=[(u, v)])
+                outcome = dyn.apply_batch(deletes=[(u, v)])
             else:
-                outcome = dyn.apply(inserts=[(u, v)])
+                outcome = dyn.apply_batch(inserts=[(u, v)])
             assert outcome.incremental
             fresh = QueryEngine(
                 build_artifact(dyn.snapshot(), algorithm=ALGORITHM)
@@ -299,7 +303,7 @@ class TestPatchInPlace:
         gid_2 = engine.graph.gid_of_upper(2)
         gid_3 = engine.graph.gid_of_upper(3)
 
-        outcome = dyn.apply(inserts=[(1, 1)])  # completes A's butterfly
+        outcome = dyn.apply_batch(inserts=[(1, 1)])  # completes A's butterfly
         assert outcome.incremental
         assert outcome.max_affected_k == 1
 
@@ -321,14 +325,14 @@ class TestPatchInPlace:
 
     def test_apply_plain_path_leaves_watchers_stale(self):
         dyn, engine = self.make_two_component_engine()
-        outcome = dyn.apply(inserts=[(1, 1)], incremental=False)
+        outcome = dyn.apply_batch(inserts=[(1, 1)], incremental=False)
         assert not outcome.incremental
         assert outcome.patched == 0
         assert engine.stale
 
     def test_apply_fallback_leaves_watchers_stale(self):
         dyn, engine = self.make_two_component_engine()
-        outcome = dyn.apply(inserts=[(1, 1)], max_region_fraction=1e-9)
+        outcome = dyn.apply_batch(inserts=[(1, 1)], max_region_fraction=1e-9)
         assert not outcome.incremental
         assert outcome.reports[-1].fallback
         assert engine.stale
@@ -338,7 +342,7 @@ class TestPatchInPlace:
         dyn, engine = self.make_two_component_engine()
         # Same edge deleted and re-inserted in one batch: net no-op.
         before = dyn.tracker.phi_map()
-        outcome = dyn.apply(inserts=[(2, 2)], deletes=[(2, 2)])
+        outcome = dyn.apply_batch(inserts=[(2, 2)], deletes=[(2, 2)])
         assert outcome.incremental
         assert dyn.tracker.phi_map() == before
 
@@ -362,7 +366,7 @@ class TestPatchInPlace:
         before = engine.community(phi_32, upper=0)
         assert [3, 2] in [[u, v] for u, v in before.edges] or (3, 2) in before.edges
 
-        outcome = dyn.apply(deletes=[(3, 2)])
+        outcome = dyn.apply_batch(deletes=[(3, 2)])
         assert outcome.incremental
         assert outcome.max_affected_k >= phi_32
         after = engine.community(phi_32, upper=0)
@@ -379,7 +383,7 @@ class TestPatchInPlace:
         dyn = DynamicBipartiteGraph(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1)])
         tracker = dyn.enable_incremental()
         snap = dyn.snapshot()
-        dyn.apply(inserts=[(2, 0), (2, 1)])
+        dyn.apply_batch(inserts=[(2, 0), (2, 1)])
         # Decompose the pre-mutation snapshot: its phi cannot cover the
         # current edges, so the rebuild's reseed attempt is refused ...
         dyn.rebuild(snapshot=snap)
@@ -406,13 +410,94 @@ class TestPatchInPlace:
         artifact = build_artifact(dyn.snapshot(), algorithm=ALGORITHM)
         dyn.register_artifact(artifact)
         old_hash = artifact.graph_hash
-        outcome = dyn.apply(inserts=[(1, 1)])
+        outcome = dyn.apply_batch(inserts=[(1, 1)])
         assert outcome.patched == 1
         assert not artifact.stale
         assert artifact.meta["patches"] == 1
         assert artifact.graph_hash != old_hash
         assert artifact.graph.num_edges == 4
         assert artifact.max_k == 1
+
+
+class TestAdoptCache:
+    """``QueryEngine.adopt_cache``, the server's publish path, keeps the
+    same entries as ``QueryEngine.patch`` for the same batch."""
+
+    @staticmethod
+    def warm(engine):
+        engine.community(4, upper=2)  # component B, above the batch
+        engine.community(1, upper=2)  # component B, at the batch's level
+        engine.max_k(upper=3)  # untouched vertex
+        engine.max_k(upper=0)  # vertex of the mutated edge
+        engine.k_bitruss(4)  # id-keyed: always drops
+        engine.phi_histogram()
+
+    def publish(self, inserts, *, add_upper=False, cache_size=128):
+        """Patch one warmed engine in place and publish a successor that
+        adopts from an identically warmed twin, for the same batch."""
+        dyn, patched = TestPatchInPlace().make_two_component_engine()
+        predecessor = QueryEngine(
+            build_artifact(dyn.snapshot(), algorithm=ALGORITHM)
+        )
+        for engine in (patched, predecessor):
+            self.warm(engine)
+        if add_upper:
+            dyn.add_upper_vertex()
+        outcome = dyn.apply_batch(inserts=inserts)
+        assert outcome.incremental and outcome.patched == 1
+        graph, phi = dyn.tracker.phi_snapshot()
+        successor = QueryEngine(
+            DecompositionArtifact(graph=graph, phi=phi, algorithm=ALGORITHM),
+            cache_size=cache_size,
+        )
+        adopted = successor.adopt_cache(
+            predecessor,
+            max_affected_k=outcome.max_affected_k,
+            affected_gids=DynamicBipartiteGraph._affected_gids(
+                graph, outcome.reports
+            ),
+        )
+        return patched, predecessor, successor, adopted
+
+    def test_keeps_exactly_the_keys_patch_keeps(self):
+        patched, predecessor, successor, adopted = self.publish([(1, 1)])
+        kept = set(patched._cache)
+        assert set(successor._cache) == kept
+        assert adopted == len(kept)
+        assert kept and kept < set(predecessor._cache)
+        # The adopted entries answer as a fresh engine would.
+        fresh = QueryEngine(
+            build_artifact(successor.graph, algorithm=ALGORITHM)
+        )
+        hits = successor.cache_info()["hits"]
+        assert successor.max_k(upper=3) == fresh.max_k(upper=3)
+        assert sorted(successor.community(4, upper=2).edges) == sorted(
+            fresh.community(4, upper=2).edges
+        )
+        assert successor.cache_info()["hits"] == hits + 2
+
+    def test_layer_change_keeps_nothing(self):
+        # A new upper vertex changes the layer sizes: no vertex-keyed
+        # entry transplants, on either path.
+        patched, _, successor, adopted = self.publish(
+            [(5, 0)], add_upper=True
+        )
+        assert adopted == 0
+        assert not successor._cache
+        assert not patched._cache
+
+    def test_adoption_stops_at_capacity(self):
+        patched, _, successor, adopted = self.publish([(1, 1)], cache_size=1)
+        assert len(patched._cache) > 1
+        assert adopted == 1
+        assert len(successor._cache) == 1
+        assert set(successor._cache) < set(patched._cache)
+
+    def test_no_hints_adopts_nothing(self):
+        _, predecessor, successor, _ = self.publish([(1, 1)])
+        successor.clear_cache()
+        assert successor.adopt_cache(predecessor) == 0
+        assert not successor._cache
 
 
 # ------------------------------------------------------------ batch repair
@@ -637,11 +722,6 @@ class TestAdaptiveBudget:
         budget = AdaptiveBudget()
         budget.observe(2)
         assert budget.cap(1000, None) is None
-
-    def test_disabled_pins_static_ceiling(self):
-        budget = AdaptiveBudget(enabled=False)
-        budget.observe(2)
-        assert budget.cap(1000, 0.15) == 150
 
     def test_zero_regions_ignored(self):
         budget = AdaptiveBudget()
