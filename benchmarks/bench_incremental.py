@@ -76,7 +76,7 @@ def bench_dataset(name):
     return record
 
 
-def _toggle_phase(name, dyn, tracker, phi0, cap, rng, edges):
+def _toggle_phase(name, dyn, tracker, artifact, phi0, cap, rng, edges):
     """Single-edge toggles: the repaired-path >= 10x contract.
 
     Each toggle is two batches of one op.  ``predict=False`` lets every
@@ -100,7 +100,7 @@ def _toggle_phase(name, dyn, tracker, phi0, cap, rng, edges):
             fallbacks += 1
             abort_s.append(delete_s)
             dyn.insert_edge(u, v)  # restore the graph ...
-            tracker.reseed(phi0)  # ... and resync (deployment: a rebuild)
+            tracker.reseed(artifact)  # ... and resync (deployment: a rebuild)
             continue
         region_sizes.append(report.region_size)
         t0 = time.perf_counter()
@@ -113,7 +113,7 @@ def _toggle_phase(name, dyn, tracker, phi0, cap, rng, edges):
         if report.fallback:
             fallbacks += 1
             abort_s.append(insert_s)
-            tracker.reseed(phi0)
+            tracker.reseed(artifact)
             continue
         region_sizes.append(report.region_size)
         repaired_s.extend((delete_s, insert_s))
@@ -232,13 +232,13 @@ def _bench_dataset(name):
     rebuild_s = time.perf_counter() - t0
 
     phi0 = artifact.phi_by_endpoints()
-    tracker = dyn.enable_incremental(dict(phi0))
+    tracker = dyn.enable_incremental(artifact)
     cap = int(REBUILD_THRESHOLD * graph.num_edges)
 
     rng = np.random.default_rng(17)
     edges = list(graph.edges())
     repaired_s, abort_s, region_sizes = _toggle_phase(
-        name, dyn, tracker, phi0, cap, rng, edges
+        name, dyn, tracker, artifact, phi0, cap, rng, edges
     )
     batched = _batch_phase(name, dyn, tracker, phi0, rng, edges)
 

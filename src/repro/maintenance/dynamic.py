@@ -32,7 +32,19 @@ silently answer from a φ computed against an older snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, KeysView, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    KeysView,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from repro.butterfly.vectorized import count_per_edge_vectorized
 from repro.core.api import bitruss_decomposition
@@ -41,6 +53,7 @@ from repro.graph.bipartite import BipartiteGraph
 
 if TYPE_CHECKING:  # pragma: no cover - circular-import guard
     from repro.maintenance.incremental import IncrementalBitruss, RepairReport
+    from repro.service.artifacts import DecompositionArtifact
 
 Edge = Tuple[int, int]
 
@@ -160,6 +173,24 @@ class DynamicBipartiteGraph:
         self._support: Dict[Edge, int] = dict(zip(graph.edges(), support))
         self._watchers: List[object] = []
         self._tracker: Optional["IncrementalBitruss"] = None
+        # The base: the current edges sorted by (u, v) as of the last
+        # commit, with their codes u * num_lower + v, plus the journal of
+        # pairs touched since.  ``_epoch`` counts commits that changed the
+        # arrays, so a tracker can tell whether its φ rows still align.
+        edge_u, edge_v = graph.edge_upper, graph.edge_lower
+        codes = edge_u * self._n_l + edge_v
+        if np.all(codes[1:] > codes[:-1]):
+            self._base_graph: Optional[BipartiteGraph] = graph
+        else:
+            order = np.argsort(codes)
+            edge_u, edge_v, codes = edge_u[order], edge_v[order], codes[order]
+            self._base_graph = None
+        self._base_u: np.ndarray = edge_u
+        self._base_v: np.ndarray = edge_v
+        self._base_codes: np.ndarray = codes
+        self._base_n_l = self._n_l
+        self._touched: Set[Edge] = set()
+        self._epoch = 0
 
     # ----------------------------------------------------- staleness hooks
 
@@ -306,6 +337,7 @@ class DynamicBipartiteGraph:
         self._adj_u[u].add(v)
         self._adj_l[v].add(u)
         self._support[(u, v)] = len(partners)
+        self._touched.add((u, v))
         self.invalidate()
         return len(partners)
 
@@ -330,22 +362,27 @@ class DynamicBipartiteGraph:
         self._adj_u[u].discard(v)
         self._adj_l[v].discard(u)
         del self._support[(u, v)]
+        self._touched.add((u, v))
         self.invalidate()
         return len(partners)
 
     # ------------------------------------------------- incremental repair
 
     def enable_incremental(
-        self, phi: Optional[Dict[Edge, int]] = None
+        self,
+        phi: Union[Dict[Edge, int], "DecompositionArtifact", None] = None,
     ) -> "IncrementalBitruss":
         """Attach an exact localized-φ-repair tracker to this graph.
 
         Parameters
         ----------
         phi:
-            Known-correct bitruss numbers keyed by endpoints (e.g. from a
-            served :class:`~repro.service.artifacts.DecompositionArtifact`);
-            omitted, one static decomposition seeds the tracker.
+            Known-correct bitruss numbers: a served
+            :class:`~repro.service.artifacts.DecompositionArtifact` (read
+            in one pass, see
+            :meth:`~repro.maintenance.incremental.IncrementalBitruss.reseed`)
+            or a dict keyed by endpoints; omitted, one static decomposition
+            seeds the tracker.
 
         Returns
         -------
@@ -529,8 +566,101 @@ class DynamicBipartiteGraph:
     # ------------------------------------------------------------ snapshot
 
     def snapshot(self) -> BipartiteGraph:
-        """Freeze the current state into an immutable :class:`BipartiteGraph`."""
-        return BipartiteGraph(self._n_u, self._n_l, sorted(self._support))
+        """Freeze the current state into an immutable :class:`BipartiteGraph`.
+
+        Edges come sorted by ``(u, v)``, so the result equals
+        ``BipartiteGraph(num_upper, num_lower, sorted(edges))`` array for
+        array.  It is built by splicing the pairs touched since the last
+        snapshot into that snapshot's arrays (:meth:`_commit`): O(touched)
+        Python plus numpy passes, no per-edge Python.  With nothing
+        touched and no layer grown, the last snapshot itself is returned.
+        An attached tracker's φ rows are spliced in the same pass.
+
+        Examples
+        --------
+        >>> g = DynamicBipartiteGraph(2, 2, [(1, 0), (0, 1)])
+        >>> list(g.snapshot().edges())
+        [(0, 1), (1, 0)]
+        >>> _ = g.insert_edge(0, 0)
+        >>> list(g.snapshot().edges())
+        [(0, 0), (0, 1), (1, 0)]
+        >>> g.snapshot() is g.snapshot()
+        True
+        """
+        return self._publish(self.tracker)
+
+    def _publish(
+        self, follower: Optional["IncrementalBitruss"] = None
+    ) -> BipartiteGraph:
+        """Commit the journal and return the base as a graph (built once)."""
+        self._commit(follower)
+        graph = self._base_graph
+        if (
+            graph is None
+            or graph.num_upper != self._n_u
+            or graph.num_lower != self._n_l
+        ):
+            # The constructor re-runs the range and duplicate checks.
+            graph = BipartiteGraph(
+                self._n_u,
+                self._n_l,
+                np.column_stack((self._base_u, self._base_v)),
+            )
+            self._base_u, self._base_v = graph.edge_upper, graph.edge_lower
+            self._base_graph = graph
+        return graph
+
+    def _commit(self, follower: Optional["IncrementalBitruss"] = None) -> None:
+        """Splice the journal of touched pairs into the base arrays.
+
+        Every touched pair is looked up in the base by its code
+        (``np.searchsorted``); its old row, if any, is dropped, and the
+        pairs still present are inserted at their sorted positions.  When
+        ``follower``'s φ rows are aligned with the base, its own journal of
+        φ writes joins the splice and its rows move with the edges, taking
+        their new values from its φ dict, the only per-edge Python.
+        """
+        n_l = self._n_l
+        if self._base_n_l != n_l:
+            # A grown lower layer changes every code but not the order.
+            self._base_codes = self._base_u * n_l + self._base_v
+            self._base_n_l = n_l
+        rows = None if follower is None else follower._rows_at(self._epoch)
+        touched = self._touched
+        if rows is not None:
+            touched = touched | follower._phi_touched
+        if not touched:
+            return
+        pairs = sorted(touched)
+        t_u = np.array([u for u, _ in pairs], dtype=np.int64)
+        t_v = np.array([v for _, v in pairs], dtype=np.int64)
+        t_codes = t_u * n_l + t_v
+        codes = self._base_codes
+        at = np.searchsorted(codes, t_codes)
+        hit = at < len(codes)
+        hit[hit] = codes[at[hit]] == t_codes[hit]
+        keep = np.ones(len(codes), dtype=bool)
+        keep[at[hit]] = False
+        support = self._support
+        live = np.fromiter(
+            (pair in support for pair in pairs), dtype=bool, count=len(pairs)
+        )
+        kept = codes[keep]
+        at = np.searchsorted(kept, t_codes[live])
+        self._base_codes = np.insert(kept, at, t_codes[live])
+        self._base_u = np.insert(self._base_u[keep], at, t_u[live])
+        self._base_v = np.insert(self._base_v[keep], at, t_v[live])
+        self._base_graph = None
+        self._touched = set()
+        self._epoch += 1
+        if rows is not None:
+            assert follower is not None
+            follower._splice_rows(
+                rows[keep],
+                at,
+                [pair for pair, alive in zip(pairs, live.tolist()) if alive],
+                self._epoch,
+            )
 
     def decompose(self, algorithm: str = "bit-bu++", **kwargs) -> BitrussDecomposition:
         """Run a static decomposition on the current snapshot."""
@@ -599,7 +729,7 @@ class DynamicBipartiteGraph:
                 # in which case its φ does not cover the current edges and
                 # the reseed refuses without touching the tracker.
                 try:
-                    tracker.reseed(artifact.phi_by_endpoints())
+                    tracker.reseed(artifact)
                 except ValueError:
                     pass
         return artifact

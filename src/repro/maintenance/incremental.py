@@ -41,24 +41,40 @@ regions are provably butterfly-disjoint (a shared butterfly would have
 triggered the conflict flush), so the merged peel is bitwise identical to
 peeling them one by one.
 
-The φ values live in an endpoint-keyed dict (edge *ids* shift when the
-snapshot is resorted; endpoints are stable), and
-:meth:`IncrementalBitruss.phi_snapshot` lays them out against a frozen
-:class:`~repro.graph.bipartite.BipartiteGraph` so artifacts and query
-engines can be patched in place.  When an op's region outgrows its budget,
-the tracker marks itself dirty and the caller falls back to the full
-rebuild path — exactness is never traded for locality.  The budget adapts
-via an EWMA of observed region sizes (:class:`AdaptiveBudget`) below the
-caller's ``budget_fraction × m`` ceiling (``max_region_edges`` pins it
-instead), and a **fallback predictor** (h-index bound × first-layer
-candidate count) skips the region BFS entirely for ops that will
-predictably exceed it — an abort costs ~5x a successful repair.
+The repair reads and writes φ in an endpoint-keyed dict (edge *ids* shift
+whenever an insert or delete lands in front of them; endpoints are
+stable).  Next to it the tracker keeps φ as rows aligned with the mirror's
+last snapshot (edges sorted by ``(u, v)``) plus a journal of the pairs
+whose φ it wrote since, and :meth:`IncrementalBitruss.phi_snapshot`
+splices both forward with the mirror's own journal
+(:meth:`~repro.maintenance.dynamic.DynamicBipartiteGraph.snapshot`): a
+publish costs O(touched) dict lookups, not one per edge, and hands an
+immutable :class:`~repro.graph.bipartite.BipartiteGraph` plus φ to the
+artifacts and query engines patched in place.  When an op's region
+outgrows its budget, the tracker marks itself dirty and the caller falls
+back to the full rebuild path — exactness is never traded for locality.
+The budget adapts via an EWMA of observed region sizes
+(:class:`AdaptiveBudget`) below the caller's ``budget_fraction × m``
+ceiling (``max_region_edges`` pins it instead), and a **fallback
+predictor** (h-index bound × first-layer candidate count) skips the
+region BFS entirely for ops that will predictably exceed it — an abort
+costs ~5x a successful repair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -68,13 +84,16 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import phases as obs_phases
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dynamic imports us)
+    from repro.core.result import BitrussDecomposition
     from repro.maintenance.dynamic import DynamicBipartiteGraph
+    from repro.service.artifacts import DecompositionArtifact
 
 Edge = Tuple[int, int]
 
 #: A butterfly as its canonical vertex quadruple:
 #: ``(upper_lo, upper_hi, lower_lo, lower_hi)``.
 FlyKey = Tuple[int, int, int, int]
+
 
 #: Region search outcomes beyond a successful collection.
 _BUDGET = "budget"
@@ -270,9 +289,11 @@ class IncrementalBitruss:
         :meth:`DynamicBipartiteGraph.apply_batch`) instead of calling
         ``insert_edge`` / ``delete_edge`` directly while a tracker is live.
     phi:
-        Initial bitruss numbers keyed by ``(u, v)`` endpoints, covering
-        exactly the current edges.  Omitted: computed here with one static
-        decomposition.
+        Initial bitruss numbers covering exactly the current edges, in any
+        form :meth:`reseed` takes: a dict keyed by ``(u, v)`` endpoints or
+        a decomposition such as a served
+        :class:`~repro.service.artifacts.DecompositionArtifact`.  Omitted:
+        computed here with one static decomposition.
 
     Examples
     --------
@@ -292,30 +313,100 @@ class IncrementalBitruss:
     def __init__(
         self,
         dynamic: "DynamicBipartiteGraph",
-        phi: Optional[Dict[Edge, int]] = None,
+        phi: Union[
+            Mapping[Edge, int],
+            "DecompositionArtifact",
+            "BitrussDecomposition",
+            None,
+        ] = None,
     ) -> None:
         self._dyn = dynamic
-        if phi is None:
-            from repro.service.artifacts import phi_by_endpoints
-
-            result = dynamic.decompose()
-            phi = phi_by_endpoints(result.graph, result.phi)
-        self._phi: Dict[Edge, int] = dict(phi)
-        self._check_coverage()
+        self._phi: Dict[Edge, int] = {}
+        # φ laid out as rows aligned with the mirror's base at commit
+        # ``_phi_epoch`` (None until laid out), plus the pairs whose φ was
+        # written since; see DynamicBipartiteGraph._commit.
+        self._phi_rows: Optional[np.ndarray] = None
+        self._phi_epoch = -1
+        self._phi_touched: Set[Edge] = set()
         self.dirty = False
         #: Adaptive region budget fed by :meth:`apply_batch`.
         self.budget = AdaptiveBudget()
+        self.reseed(dynamic.decompose() if phi is None else phi)
 
     # ------------------------------------------------------------ plumbing
 
-    def _check_coverage(self, phi: Optional[Dict[Edge, int]] = None) -> None:
-        candidate = self._phi if phi is None else phi
-        edges = self._dyn.edge_keys()
-        if candidate.keys() != edges:
-            raise ValueError(
-                "phi must cover exactly the current edges of the graph "
-                f"({len(candidate)} phi entries vs {len(edges)} edges)"
+    def _coverage_error(self, entries: int) -> ValueError:
+        return ValueError(
+            "phi must cover exactly the current edges of the graph "
+            f"({entries} phi entries vs {self._dyn.num_edges} edges)"
+        )
+
+    def _align(
+        self, graph: BipartiteGraph, values: np.ndarray
+    ) -> Tuple[np.ndarray, Dict[Edge, int]]:
+        """φ rows aligned with the mirror's base, and the φ dict, in one pass.
+
+        ``graph`` must hold exactly the mirror's current edges (in any
+        order); checked on the arrays, else :class:`ValueError` before
+        anything is built.
+        """
+        dyn = self._dyn
+        dyn._commit(self)
+        values = np.asarray(values, dtype=np.int64)
+        edge_u, edge_v = graph.edge_upper, graph.edge_lower
+        rows = values
+        if graph is not dyn._base_graph:
+            base = dyn._base_codes
+            covered = graph.num_edges == len(base) and (
+                graph.num_edges == 0
+                or (
+                    edge_u.max() < dyn.num_upper
+                    and edge_v.max() < dyn.num_lower
+                )
             )
+            if covered:
+                codes = edge_u * dyn.num_lower + edge_v
+                if not np.all(codes[1:] > codes[:-1]):
+                    order = np.argsort(codes)
+                    codes, rows = codes[order], values[order]
+                covered = np.array_equal(codes, base)
+            if not covered:
+                raise self._coverage_error(graph.num_edges)
+        pairs = zip(edge_u.tolist(), edge_v.tolist())
+        return rows, dict(zip(pairs, values.tolist()))
+
+    def _set_rows(self, rows: np.ndarray, epoch: int) -> None:
+        if rows.flags.writeable:
+            rows = rows.copy()
+            rows.flags.writeable = False
+        self._phi_rows = rows
+        self._phi_epoch = epoch
+        self._phi_touched = set()
+
+    def _rows_at(self, epoch: int) -> Optional[np.ndarray]:
+        """The φ rows, if in sync and aligned with the mirror's commit."""
+        if self.dirty or self._phi_epoch != epoch:
+            return None
+        return self._phi_rows
+
+    def _splice_rows(
+        self, kept: np.ndarray, at: np.ndarray, pairs: List[Edge], epoch: int
+    ) -> None:
+        """Finish the mirror's splice: insert ``pairs``' φ at ``at``.
+
+        One dict lookup per inserted pair.  A pair missing from the dict
+        means φ lost sync outside the tracker (a support-only mutator ran
+        while it was clean); the rows are then dropped, and the next
+        :meth:`phi_snapshot` lays them out again and raises there.
+        """
+        phi = self._phi
+        values = [phi.get(pair) for pair in pairs]
+        if None in values:
+            self._phi_rows = None
+            return
+        self._set_rows(
+            np.insert(kept, at, np.array(values, dtype=np.int64)), epoch
+        )
 
     def phi_of(self, u: int, v: int) -> int:
         """Current bitruss number of edge ``(u, v)``."""
@@ -340,35 +431,69 @@ class IncrementalBitruss:
     def phi_snapshot(self) -> Tuple[BipartiteGraph, np.ndarray]:
         """Freeze the graph and lay φ out by the snapshot's edge ids.
 
-        Returns the pair an artifact patch needs: an immutable
-        :class:`BipartiteGraph` of the current edges plus an ``int64`` φ
-        array aligned with its (resorted) edge ids.
+        Returns the pair an artifact patch needs: the mirror's
+        :meth:`~repro.maintenance.dynamic.DynamicBipartiteGraph.snapshot`
+        (edges sorted by ``(u, v)``) plus a read-only ``int64`` φ array
+        aligned with its edge ids.  Both come out of one splice of the
+        last snapshot, so a publish looks up φ only for the pairs touched
+        since.  Only the first publish after a dict seed lays φ out edge
+        by edge.
         """
         if self.dirty:
             raise DirtyTrackerError("tracker is dirty; reseed() first")
-        graph = self._dyn.snapshot()
-        phi = np.fromiter(
-            (self._phi[(u, v)] for u, v in graph.edges()),
-            dtype=np.int64,
-            count=graph.num_edges,
-        )
-        return graph, phi
+        dyn = self._dyn
+        graph = dyn._publish(self)
+        if self._rows_at(dyn._epoch) is None:
+            phi = self._phi
+            pairs = zip(graph.edge_upper.tolist(), graph.edge_lower.tolist())
+            rows = np.fromiter(
+                (phi[pair] for pair in pairs),
+                dtype=np.int64,
+                count=graph.num_edges,
+            )
+            self._set_rows(rows, dyn._epoch)
+        assert self._phi_rows is not None
+        return graph, self._phi_rows
 
     def mark_dirty(self) -> None:
         """Declare φ out of sync (mutations keep applying, repairs refuse)."""
         self.dirty = True
 
-    def reseed(self, phi: Dict[Edge, int]) -> None:
-        """Install a freshly computed φ (endpoint-keyed) and clear ``dirty``.
+    def reseed(
+        self,
+        phi: Union[
+            Mapping[Edge, int], "DecompositionArtifact", "BitrussDecomposition"
+        ],
+    ) -> None:
+        """Install a freshly computed φ and clear ``dirty``.
+
+        ``phi`` is either a dict keyed by ``(u, v)`` endpoints or a
+        decomposition: anything with a ``graph`` and an aligned ``phi``
+        array, such as a
+        :class:`~repro.service.artifacts.DecompositionArtifact` or a
+        :class:`~repro.core.result.BitrussDecomposition`.  A decomposition
+        is read in one pass: coverage is checked on its arrays, the φ dict
+        is built once, and its φ array becomes the publish rows as it is
+        (reordered by one ``argsort`` if its edges are not sorted).  A
+        dict is copied, and its rows are laid out at the next
+        :meth:`phi_snapshot`.
 
         Validated *before* anything is replaced: a reseed whose φ does not
         cover the current edge set raises and leaves the tracker exactly
         as it was (callers that race rebuilds against mutations rely on a
         failed reseed being harmless).
         """
-        candidate = dict(phi)
-        self._check_coverage(candidate)
-        self._phi = candidate
+        if isinstance(phi, Mapping):
+            candidate = dict(phi)
+            edges = self._dyn.edge_keys()
+            if candidate.keys() != edges:
+                raise self._coverage_error(len(candidate))
+            self._phi = candidate
+            self._phi_rows = None
+            self._phi_touched = set()
+        else:
+            rows, self._phi = self._align(phi.graph, phi.phi)
+            self._set_rows(rows, self._dyn._epoch)
         self.dirty = False
 
     # ------------------------------------------------------ region search
@@ -552,6 +677,7 @@ class IncrementalBitruss:
                 if old != value:
                     report.changed[edge] = (old, value)
                     self._phi[edge] = value
+                    self._phi_touched.add(edge)
             if entry.inserted is not None:
                 report.changed[entry.inserted] = (
                     -1,
@@ -752,6 +878,7 @@ class IncrementalBitruss:
         created = self._dyn.insert_edge(u, v)
         report = RepairReport(op="insert", edge=(u, v), butterflies=created)
         self._phi[(u, v)] = 0
+        self._phi_touched.add((u, v))
         if created == 0:
             # No butterflies: the new edge settles at φ = 0 and no support
             # moved anywhere, so the decomposition is already exact.
@@ -788,6 +915,7 @@ class IncrementalBitruss:
         seeds = self._delete_seeds(u, v, bound, partners)
         destroyed = self._dyn.delete_edge(u, v)
         del self._phi[(u, v)]
+        self._phi_touched.add((u, v))
         report = RepairReport(
             op="delete", edge=(u, v), butterflies=destroyed, k_bound=bound
         )

@@ -163,7 +163,7 @@ class UpdateManager:
             # Seed the φ tracker from the artifact being served — exact for
             # the mirror's current edge set, so no decomposition runs here.
             try:
-                dynamic.enable_incremental(entry.artifact.phi_by_endpoints())
+                dynamic.enable_incremental(entry.artifact)
             except ValueError:
                 # A caller-supplied mirror that already drifted from the
                 # artifact: let the tracker compute its own seed.
@@ -372,11 +372,12 @@ class UpdateManager:
         Deliberately synchronous on the loop thread, like ``apply()``
         itself: publishing before the ``POST`` returns keeps the mirror
         and the registry ordered with no await window a concurrent batch
-        could interleave into.  The cost is O(m) (snapshot sort, graph
-        hash, hierarchy sweep — tens of milliseconds on the largest
-        bundled dataset), paid once per accepted batch, not per op; if a
-        deployment outgrows that, this is the seam to move onto the
-        executor behind a per-dataset publish lock.
+        could interleave into.  The snapshot and φ are spliced from the
+        last publish in O(batch) Python; what stays O(m) is numpy work
+        (the splice's array copies, graph construction and hash, the
+        vectorized hierarchy build), paid once per accepted batch, not
+        per op.  If a deployment outgrows that, this is the seam to move
+        onto the executor behind a per-dataset publish lock.
         """
         publish_start = time.perf_counter()
         entry = self.registry.get(name)
@@ -487,7 +488,7 @@ class UpdateManager:
         tracker = dynamic.tracker
         if tracker is not None:
             try:
-                tracker.reseed(artifact.phi_by_endpoints())
+                tracker.reseed(artifact)
             except ValueError:
                 # Mutations landed while the build ran; the follow-up
                 # rebuild the refresh loop runs next will reseed.

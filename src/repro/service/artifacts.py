@@ -114,10 +114,10 @@ def phi_by_endpoints(graph: BipartiteGraph, phi: np.ndarray) -> Dict:
     """φ keyed by ``(u, v)`` endpoint pairs instead of edge ids.
 
     The id-stable form the incremental maintenance layer tracks: edge ids
-    are reassigned whenever a snapshot resorts, endpoints never are.  Used
-    to seed and reseed :class:`~repro.maintenance.incremental.IncrementalBitruss`
-    from any (graph, φ) pair.  Keys come in edge-id order; values are
-    plain ``int``.
+    shift whenever a mutation lands in front of them, endpoints never do.
+    :class:`~repro.maintenance.incremental.IncrementalBitruss` accepts it
+    as a seed, though it reads an artifact's arrays directly in one pass.
+    Keys come in edge-id order; values are plain ``int``.
 
     Examples
     --------
@@ -224,7 +224,7 @@ class DecompositionArtifact:
         """Replace the served content in place and clear staleness.
 
         The incremental-maintenance path
-        (:meth:`repro.maintenance.dynamic.DynamicBipartiteGraph.apply`)
+        (:meth:`repro.maintenance.dynamic.DynamicBipartiteGraph.apply_batch`)
         calls this after a localized φ repair: the patched snapshot and φ
         array become the artifact's new content, the graph hash is
         recomputed, and the artifact is fresh again — no decomposition ran.

@@ -515,8 +515,8 @@ def _surviving_entries(cache, old_graph, new_graph, max_affected_k, affected_gid
     * ``max_k`` entries survive for vertices outside ``affected_gids``
       (no incident edge changed φ or existence);
     * everything keyed by edge ids (``k_bitruss``, ``hierarchy_path``)
-      and the global ``phi_histogram`` drop — edge ids shift whenever the
-      snapshot resorts.
+      and the global ``phi_histogram`` drop — edge ids shift whenever an
+      insert or delete lands in front of them in the sorted snapshot.
 
     Nothing survives without both hints, or when the layer sizes of
     ``old_graph`` and ``new_graph`` differ: vertex-keyed entries are only

@@ -1,19 +1,29 @@
 """Localized φ repair: exactness, regions, fallback, patch-in-place."""
 
+import asyncio
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.core.api import bitruss_decomposition
 from repro.core.peeling_engine import NO_EXPIRY, peel_region
 from repro.datasets import load_dataset
+from repro.graph.bipartite import BipartiteGraph
 from repro.maintenance import (
     AdaptiveBudget,
     DirtyTrackerError,
     DynamicBipartiteGraph,
     IncrementalBitruss,
 )
+from repro.server import ArtifactRegistry, UpdateManager
 from repro.service import DecompositionArtifact, QueryEngine, build_artifact
 
 ALGORITHM = "bit-bu-csr"
@@ -727,3 +737,312 @@ class TestAdaptiveBudget:
         budget = AdaptiveBudget()
         budget.observe(0)
         assert budget.ewma is None and budget.samples == 0
+
+
+# ----------------------------------------------------- spliced publishing
+
+
+def oracle_publish(dyn, phi_map=None):
+    """The sort-and-walk reference: ``BipartiteGraph(sorted(edges))`` plus
+    one φ lookup per edge of it."""
+    graph = BipartiteGraph(dyn.num_upper, dyn.num_lower, sorted(dyn.edge_keys()))
+    if phi_map is None:
+        return graph, None
+    phi = np.fromiter(
+        (phi_map[e] for e in graph.edges()),
+        dtype=np.int64,
+        count=graph.num_edges,
+    )
+    return graph, phi
+
+
+def assert_same_graph(got, ref):
+    """Bitwise equal: sizes, endpoint arrays and both CSR triples."""
+    assert (got.num_upper, got.num_lower) == (ref.num_upper, ref.num_lower)
+    pairs = [
+        (got.edge_upper, ref.edge_upper),
+        (got.edge_lower, ref.edge_lower),
+        *zip(got.csr_upper(), ref.csr_upper()),
+        *zip(got.csr_lower(), ref.csr_lower()),
+    ]
+    for a, b in pairs:
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+def assert_publish_matches_oracle(dyn, tracker=None):
+    """``snapshot()`` and (for a clean tracker) ``phi_snapshot()`` equal the
+    sort-and-walk oracle bitwise, and φ equals a full recompute."""
+    ref, _ = oracle_publish(dyn)
+    assert_same_graph(dyn.snapshot(), ref)
+    if tracker is None or tracker.dirty:
+        return
+    graph, phi = tracker.phi_snapshot()
+    ref, ref_phi = oracle_publish(dyn, tracker.phi_map())
+    assert_same_graph(graph, ref)
+    assert phi.dtype == np.int64 and np.array_equal(phi, ref_phi)
+    fresh = bitruss_decomposition(graph, algorithm=ALGORITHM)
+    assert np.array_equal(phi, fresh.phi)
+
+
+class CountingDict(dict):
+    """A φ dict that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+class PublishMachine(RuleBasedStateMachine):
+    """Interleaves every way the mirror and tracker change between
+    publishes; after each step the published snapshot and φ must equal
+    the sort-and-walk oracle.  A plain set of pairs models the edges."""
+
+    @initialize(
+        num_upper=st.integers(0, 5),
+        num_lower=st.integers(0, 5),
+        pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4))),
+    )
+    def seed(self, num_upper, num_lower, pairs):
+        edges = list(
+            dict.fromkeys(
+                (u, v) for u, v in pairs if u < num_upper and v < num_lower
+            )
+        )
+        self.dyn = DynamicBipartiteGraph(num_upper, num_lower, edges)
+        self.tracker = self.dyn.enable_incremental()
+        self.model = set(edges)
+        self.pinned = None
+
+    def pick(self, data, present):
+        """A pair inside the layers, present or absent as asked (None when
+        there is none)."""
+        n_u, n_l = self.dyn.num_upper, self.dyn.num_lower
+        pool = sorted(self.model) if present else [
+            (u, v)
+            for u in range(n_u)
+            for v in range(n_l)
+            if (u, v) not in self.model
+        ]
+        return data.draw(st.sampled_from(pool)) if pool else None
+
+    def batch(self, inserts, deletes):
+        if self.tracker.dirty:
+            self.tracker.apply_batch(inserts, deletes)
+        else:
+            self.dyn.apply_batch(inserts, deletes, max_region_fraction=None)
+        self.model -= set(deletes)
+        self.model |= set(inserts)
+
+    @rule(data=st.data(), k=st.integers(1, 4))
+    def apply_batch_mixed(self, data, k):
+        """Inserts (often of brand-new pairs), deletes and toggles."""
+        inserts, deletes = [], []
+        for _ in range(k):
+            kind = data.draw(st.sampled_from(["insert", "delete", "toggle"]))
+            edge = self.pick(data, present=kind != "insert")
+            if edge is None or edge in inserts or edge in deletes:
+                continue
+            if kind != "insert":
+                deletes.append(edge)
+            if kind != "delete":
+                inserts.append(edge)
+        self.batch(inserts, deletes)
+
+    @rule(data=st.data(), upper=st.booleans())
+    def delete_whole_row(self, data, upper):
+        edge = self.pick(data, present=True)
+        if edge is None:
+            return
+        side = 0 if upper else 1
+        self.batch([], [e for e in sorted(self.model) if e[side] == edge[side]])
+
+    @rule(upper=st.booleans())
+    def add_vertex(self, upper):
+        if upper:
+            self.dyn.add_upper_vertex()
+        else:
+            self.dyn.add_lower_vertex()
+
+    @rule(data=st.data(), insert=st.booleans())
+    def support_only(self, data, insert):
+        """The plain mutators desync φ: declare it, as the server does."""
+        edge = self.pick(data, present=not insert)
+        if edge is None:
+            return
+        self.tracker.mark_dirty()
+        if insert:
+            self.dyn.insert_edge(*edge)
+            self.model.add(edge)
+        else:
+            self.dyn.delete_edge(*edge)
+            self.model.discard(edge)
+
+    @rule(data=st.data())
+    def forced_fallback(self, data):
+        edge = self.pick(data, present=False)
+        if edge is None:
+            return
+        self.tracker.apply_batch(
+            inserts=[edge], max_region_edges=0, predict=False
+        )
+        self.model.add(edge)
+        self.tracker.mark_dirty()  # a butterfly-free insert needs no repair
+
+    @rule()
+    def rebuild(self):
+        self.dyn.rebuild(ALGORITHM)
+        assert not self.tracker.dirty
+
+    @rule(source=st.sampled_from(["dict", "snapshot", "shuffled"]), data=st.data())
+    def reseed(self, source, data):
+        if source == "dict":
+            self.tracker.reseed(fresh_phi(self.dyn))
+        else:
+            graph = self.dyn.snapshot()
+            if source == "shuffled":
+                edges = data.draw(st.permutations(list(graph.edges())))
+                graph = BipartiteGraph(graph.num_upper, graph.num_lower, edges)
+            self.tracker.reseed(build_artifact(graph, ALGORITHM))
+        assert not self.tracker.dirty
+
+    @rule()
+    def pin(self):
+        self.pinned = self.dyn.snapshot()
+
+    @rule()
+    def rebuild_pinned(self):
+        """A rebuild of an older snapshot reseeds only if it still covers
+        the edges, else leaves the tracker exactly as it was."""
+        if self.pinned is None:
+            return
+        dirty = self.tracker.dirty
+        before = None if dirty else self.tracker.phi_map()
+        covers = set(self.pinned.edges()) == self.model
+        self.dyn.rebuild(ALGORITHM, snapshot=self.pinned)
+        if covers:
+            assert not self.tracker.dirty
+        else:
+            assert self.tracker.dirty == dirty
+            if not dirty:
+                assert self.tracker.phi_map() == before
+
+    @invariant()
+    def publish_matches_oracle(self):
+        assert set(self.dyn.edge_keys()) == self.model
+        assert_publish_matches_oracle(self.dyn, self.tracker)
+
+
+PublishMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=12, deadline=None
+)
+TestPublishInterleavings = PublishMachine.TestCase
+
+
+class TestSplicedPublish:
+    def test_edgeless(self):
+        dyn = DynamicBipartiteGraph(2, 3)
+        tracker = dyn.enable_incremental()
+        assert_publish_matches_oracle(dyn, tracker)
+        dyn.apply_batch(inserts=[(0, 0), (1, 1)])
+        assert_publish_matches_oracle(dyn, tracker)
+        dyn.apply_batch(deletes=[(0, 0), (1, 1)])
+        assert_publish_matches_oracle(dyn, tracker)
+        assert dyn.snapshot().num_edges == 0
+
+    def test_unchanged_mirror_republishes_the_same_objects(self):
+        dyn = DynamicBipartiteGraph(3, 3, [(2, 0), (0, 1), (1, 0), (0, 0)])
+        tracker = dyn.enable_incremental()
+        graph, phi = tracker.phi_snapshot()
+        assert tracker.phi_snapshot()[0] is graph
+        assert tracker.phi_snapshot()[1] is phi
+        assert not phi.flags.writeable
+        dyn.add_lower_vertex()  # new layer size: a new graph, same rows
+        assert_publish_matches_oracle(dyn, tracker)
+
+    @pytest.mark.parametrize("seed_from", ["artifact", "dict"])
+    def test_publish_lookups_bounded_by_touched_pairs(self, seed_from):
+        """One publish makes at most one φ lookup per pair the batch
+        touched: O(batch), not O(m)."""
+        graph = load_dataset("github")
+        shuffled = np.random.default_rng(3).permutation(list(graph.edges()))
+        graph = BipartiteGraph(graph.num_upper, graph.num_lower, shuffled)
+        artifact = build_artifact(graph, algorithm=ALGORITHM)
+        dyn = DynamicBipartiteGraph.from_graph(graph)
+        if seed_from == "artifact":
+            tracker = dyn.enable_incremental(artifact)
+        else:
+            tracker = dyn.enable_incremental(artifact.phi_by_endpoints())
+        assert_publish_matches_oracle(dyn, tracker)  # a dict seed lays out here
+        rng = np.random.default_rng(5)
+        # Low-support edges keep the repairs small; brand-new pairs too.
+        edges = [e for e in graph.edges() if dyn.support_of(*e) <= 3]
+        fresh = [(u, 0) for u in range(8) if not dyn.has_edge(u, 0)]
+        for round_ in range(4):
+            picks = rng.choice(len(edges), size=6, replace=False)
+            deletes = [edges[i] for i in picks]
+            inserts = deletes + fresh[round_ : round_ + 1]
+            batches = [
+                tracker.apply_batch(deletes=deletes),
+                tracker.apply_batch(inserts=inserts),
+            ]
+            assert not any(batch.fallback for batch in batches)
+            touched = set(deletes) | set(inserts)
+            for batch in batches:
+                for report in batch.reports:
+                    touched |= set(report.changed)
+            tracker._phi = counting = CountingDict(tracker._phi)
+            tracker.phi_snapshot()
+            tracker._phi = dict(counting)
+            assert 0 < counting.lookups <= len(touched)
+            assert_publish_matches_oracle(dyn, tracker)
+
+    def test_reseed_from_artifact_refuses_without_touching(self):
+        dyn = DynamicBipartiteGraph(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        tracker = dyn.enable_incremental()
+        stale = build_artifact(dyn.snapshot(), algorithm=ALGORITHM)
+        dyn.apply_batch(inserts=[(2, 0), (2, 1)])
+        before = tracker.phi_map()
+        with pytest.raises(ValueError, match="cover exactly"):
+            tracker.reseed(stale)
+        assert not tracker.dirty and tracker.phi_map() == before
+        assert_publish_matches_oracle(dyn, tracker)
+
+    def test_server_reseed_reads_the_artifact_once(self, monkeypatch):
+        """Attach and the fallback rebuild seed the tracker from the
+        artifact's arrays, never through the endpoint-keyed dict."""
+
+        def no_dict(self):
+            raise AssertionError("reseed went through phi_by_endpoints")
+
+        monkeypatch.setattr(DecompositionArtifact, "phi_by_endpoints", no_dict)
+        graph = load_dataset("github")
+
+        async def scenario():
+            registry = ArtifactRegistry()
+            registry.register("g", build_artifact(graph, algorithm=ALGORITHM))
+            updates = UpdateManager(registry, debounce=0.0)
+            dyn = updates.attach("g")
+            u, v = graph.edge_endpoints(0)
+            updates.max_incremental_batch = 0  # force the rebuild path
+            assert updates.apply("g", [{"op": "delete", "u": u, "v": v}])[
+                "rebuild"
+            ] == "scheduled"
+            await updates.wait_idle()
+            assert not dyn.tracker.dirty
+            updates.max_incremental_batch = 64
+            body = updates.apply("g", [{"op": "insert", "u": u, "v": v}])
+            assert body["rebuild"] == "incremental"
+            entry = registry.get("g")
+            assert entry.artifact.graph is dyn.snapshot()
+            ref, ref_phi = oracle_publish(dyn, dyn.tracker.phi_map())
+            assert_same_graph(entry.artifact.graph, ref)
+            assert np.array_equal(entry.artifact.phi, ref_phi)
+
+        asyncio.run(scenario())
