@@ -1,20 +1,18 @@
 """Ablation — butterfly-counting implementations.
 
-Not a paper figure: quantifies the implementation choices DESIGN.md calls
-out for the counting substrate (the paper's [8]).  Three counters produce
+Not a paper figure: quantifies the implementation choice DESIGN.md calls
+out for the counting substrate (the paper's [8]).  Two counters produce
 identical outputs:
 
-* ``naive``       — list-intersection enumeration (the pre-[8] style),
-* ``scalar``      — vertex-priority wedge processing (dict inner loops),
-* ``vectorized``  — the same traversal run by the wedge-block kernel
-  (``repro/butterfly/wedges.py``): whole blocks of wedges grouped by
-  ``(start, end)`` with one stable sort, no Python loop per vertex.
+* ``naive``   — list-intersection enumeration (the pre-[8] style),
+* ``kernel``  — vertex-priority wedge processing run by the wedge-block
+  kernel (``repro/butterfly/wedges.py``) behind ``count_per_edge``: whole
+  blocks of wedges grouped by ``(start, end)`` with one stable sort, no
+  Python loop per vertex.
 
-Expected shape: scalar beats naive everywhere (the [8] claim), and
-vectorized is no slower than scalar on any graph — sparse rows, dense
-blocks and hub-heavy preferential attachment alike (about 10x faster on a
-2-CPU Xeon VM).  No sparse-vs-dense crossover is left: both tests assert
-it.
+Expected shape: the kernel beats naive on every graph — sparse rows, dense
+blocks and hub-heavy preferential attachment alike (the [8] claim).  The
+test asserts it per graph and the report as one contract.
 
 ``hub-pa`` has the wedge shape of a bipartite preferential-attachment
 graph (CORL's ``generate_ba_graph``): a few upper hubs with power-law
@@ -30,7 +28,6 @@ import pytest
 
 from benchmarks._shared import Contract, Metric, format_table, write_result
 from repro.butterfly.counting import count_per_edge, count_per_edge_naive
-from repro.butterfly.vectorized import count_per_edge_vectorized
 from repro.graph.generators import (
     chung_lu_bipartite,
     erdos_renyi_bipartite,
@@ -55,8 +52,7 @@ GRAPHS = {
 
 COUNTERS = {
     "naive": count_per_edge_naive,
-    "scalar": count_per_edge,
-    "vectorized": count_per_edge_vectorized,
+    "kernel": count_per_edge,
 }
 
 
@@ -78,15 +74,11 @@ def test_counting_ablation(benchmark, graph_name):
         return out
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    supports = [sup for _t, sup in results.values()]
-    for other in supports[1:]:
-        np.testing.assert_array_equal(supports[0], other)
-    # the [8]-style counter must beat naive enumeration
-    assert results["scalar"][0] < results["naive"][0]
-    # ... and the wedge-block kernel must be no slower than the scalar one
-    assert results["vectorized"][0] <= results["scalar"][0], (
-        f"{graph_name}: vectorized {results['vectorized'][0]:.4f}s > "
-        f"scalar {results['scalar'][0]:.4f}s"
+    np.testing.assert_array_equal(results["kernel"][1], results["naive"][1])
+    # the [8]-style wedge-block kernel must beat naive enumeration
+    assert results["kernel"][0] < results["naive"][0], (
+        f"{graph_name}: kernel {results['kernel'][0]:.4f}s >= "
+        f"naive {results['naive'][0]:.4f}s"
     )
 
 
@@ -108,23 +100,17 @@ def test_counting_ablation_report(benchmark):
     ]
     lines = [
         "Ablation: butterfly-counting implementations (seconds)",
-        "expected: scalar (vertex-priority, [8]) < naive, and vectorized",
-        "(wedge-block kernel) <= scalar on every graph",
+        "expected: the wedge-block kernel (vertex-priority, [8]) < naive",
+        "on every graph",
         "",
     ]
     lines += format_table(["graph"] + list(COUNTERS), rows)
     metrics = [
-        Metric(f"{counter}_seconds_{name}", times[counter], "seconds", "lower")
+        Metric(f"kernel_seconds_{name}", times["kernel"], "seconds", "lower")
         for name, times in table.items()
-        for counter in ("scalar", "vectorized")
     ]
-    worst_edge = min(
-        times["naive"] / max(times["scalar"], 1e-9)
-        for times in table.values()
-    )
-    worst_vectorized = min(
-        times["scalar"] / max(times["vectorized"], 1e-9)
-        for times in table.values()
+    worst = min(
+        times["naive"] / max(times["kernel"], 1e-9) for times in table.values()
     )
     print(
         "\n"
@@ -134,15 +120,7 @@ def test_counting_ablation_report(benchmark):
             bench="ablation_counting",
             metrics=metrics,
             contracts=[
-                Contract(
-                    "scalar_beats_naive", worst_edge > 1.0, 1.0, worst_edge
-                ),
-                Contract(
-                    "vectorized_no_slower_than_scalar",
-                    worst_vectorized >= 1.0,
-                    1.0,
-                    worst_vectorized,
-                ),
+                Contract("kernel_beats_naive", worst > 1.0, 1.0, worst),
             ],
         )
     )

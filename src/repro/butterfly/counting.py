@@ -14,6 +14,8 @@ Because every butterfly lives in exactly one maximal priority-obeyed bloom
 exactly one ``(u, w)`` anchor — the counts are exact, and the total work is
 ``O(sum over edges of min(d(u), d(v)))``.
 
+:func:`count_per_edge` runs that traversal with the wedge-block kernel of
+:mod:`repro.butterfly.wedges`, the one wedge traversal of the package.
 :func:`count_per_edge_naive` is an independent list-intersection counter used
 for cross-validation in tests, and is also the per-edge counting the earlier
 works [5], [9] relied on.
@@ -21,51 +23,13 @@ works [5], [9] relied on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
+from repro.butterfly.wedges import support_on_arrays
 from repro.graph.bipartite import BipartiteGraph
-
-
-def collect_wedges(
-    indptr: np.ndarray,
-    nbr_arr: np.ndarray,
-    eid_arr: np.ndarray,
-    row_prios: np.ndarray,
-    prio: np.ndarray,
-    start: int,
-) -> Optional[List[Tuple[int, int, int, int]]]:
-    """Priority-obeyed wedges of one start vertex, from the sorted gid CSR.
-
-    The single scalar copy of the prefix-lookup scaffold shared by the
-    counters below and :meth:`repro.index.be_index.BEIndex.build`: rows are
-    pre-sorted by neighbour priority (``csr_gid_sorted``), so each
-    "priority < p(start)" filter is one ``searchsorted`` cut.
-
-    Returns a list of ``(w, v, e_uv, e_vw)`` tuples — end vertex, middle
-    vertex, and the wedge's two edge ids — or ``None`` when the start owns
-    no wedge.
-    """
-    lo, hi = int(indptr[start]), int(indptr[start + 1])
-    if hi - lo < 2:
-        return None
-    p_start = prio[start]
-    cut = int(np.searchsorted(row_prios[lo:hi], p_start))
-    if cut == 0:
-        return None
-    wedges: List[Tuple[int, int, int, int]] = []
-    for v, e_uv in zip(
-        nbr_arr[lo : lo + cut].tolist(), eid_arr[lo : lo + cut].tolist()
-    ):
-        vlo = int(indptr[v])
-        vcut = int(np.searchsorted(row_prios[vlo : int(indptr[v + 1])], p_start))
-        for w, e_vw in zip(
-            nbr_arr[vlo : vlo + vcut].tolist(),
-            eid_arr[vlo : vlo + vcut].tolist(),
-        ):
-            wedges.append((w, v, e_uv, e_vw))
-    return wedges or None
+from repro.obs import phases as obs_phases
 
 
 def count_per_edge(
@@ -77,26 +41,22 @@ def count_per_edge(
 
     Returns an ``int64`` array indexed by edge id.  ``priorities`` may be
     supplied to reuse a precomputed Definition 7 ranking.
+
+    >>> from repro.graph.generators import paper_figure4_graph
+    >>> g = paper_figure4_graph()
+    >>> count_per_edge(g).tolist()
+    [2, 2, 2, 2, 2, 3, 1, 1, 1, 0, 0]
+    >>> bool((count_per_edge(g) == count_per_edge_naive(g)).all())
+    True
     """
     prio = priorities if priorities is not None else graph.priorities()
-    indptr, nbr_arr, eid_arr, row_prios = graph.csr_gid_sorted_with_prios(
+    indptr, neighbors, edge_ids, row_prios = graph.csr_gid_sorted_with_prios(
         priorities
     )
-    support = np.zeros(graph.num_edges, dtype=np.int64)
-
-    for start in range(graph.num_vertices):
-        wedges = collect_wedges(indptr, nbr_arr, eid_arr, row_prios, prio, start)
-        if wedges is None:
-            continue
-        count_wedge: Dict[int, int] = {}
-        for w, _v, _e_uv, _e_vw in wedges:
-            count_wedge[w] = count_wedge.get(w, 0) + 1
-        for w, _v, e_uv, e_vw in wedges:
-            c = count_wedge[w]
-            if c > 1:
-                support[e_uv] += c - 1
-                support[e_vw] += c - 1
-    return support
+    with obs_phases.phase("butterfly counting"):
+        return support_on_arrays(
+            indptr, neighbors, edge_ids, row_prios, prio, graph.num_edges
+        )
 
 
 def count_butterflies_total(
@@ -106,27 +66,9 @@ def count_butterflies_total(
 ) -> int:
     """Total number of butterflies in ``graph`` (the paper's ⋈G).
 
-    Same wedge traversal as :func:`count_per_edge`, accumulating
-    ``C(c, 2)`` per anchor pair instead of touching edges — slightly cheaper
-    when only the global count is needed (Table II).
+    Every butterfly adds one to the support of each of its four edges.
     """
-    prio = priorities if priorities is not None else graph.priorities()
-    indptr, nbr_arr, eid_arr, row_prios = graph.csr_gid_sorted_with_prios(
-        priorities
-    )
-    total = 0
-
-    for start in range(graph.num_vertices):
-        wedges = collect_wedges(indptr, nbr_arr, eid_arr, row_prios, prio, start)
-        if wedges is None:
-            continue
-        count_wedge: Dict[int, int] = {}
-        for w, _v, _e_uv, _e_vw in wedges:
-            count_wedge[w] = count_wedge.get(w, 0) + 1
-        for c in count_wedge.values():
-            if c > 1:
-                total += c * (c - 1) // 2
-    return total
+    return int(count_per_edge(graph, priorities=priorities).sum()) // 4
 
 
 def count_per_edge_naive(graph: BipartiteGraph) -> np.ndarray:

@@ -30,9 +30,12 @@ same order as a per-start traversal.  Working memory is the ``O(n + m)``
 key and per-start cuts plus ``O(WEDGE_BUDGET)`` per chunk and block (at
 most ``O(m)`` for one oversized start), never the total wedge count.
 
-:func:`repro.core.peeling_engine.build_shard_on_arrays` (the BE-Index
-build) and :func:`support_on_arrays` (per-edge counting) both consume
-:func:`bloom_blocks`.
+This is the only priority-obeyed wedge traversal of the package:
+:func:`build_shard_on_arrays` (the BE-Index build, flat for
+:class:`~repro.core.peeling_engine.CSRPeelingEngine` and as dicts for
+:meth:`~repro.index.be_index.BEIndex.build`) and :func:`support_on_arrays`
+(per-edge counting, :func:`repro.butterfly.counting.count_per_edge`) both
+consume :func:`bloom_blocks`.
 
 >>> from repro.butterfly.counting import count_per_edge_naive
 >>> from repro.graph.generators import paper_figure4_graph
@@ -46,7 +49,7 @@ True
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -210,3 +213,46 @@ def support_on_arrays(
     ):
         add_bloom_support(support, mid_edges, end_edges, bloom_k)
     return support
+
+
+def build_shard_on_arrays(
+    indptr: np.ndarray,
+    neighbors: np.ndarray,
+    edge_ids: np.ndarray,
+    row_prios: np.ndarray,
+    prio: np.ndarray,
+    num_edges: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Algorithm 3 over every start vertex, on raw gid-CSR arrays.
+
+    Returns ``(support, pair_e1, pair_e2, pair_bloom, bloom_k)`` where
+    ``support`` is the per-edge butterfly support, pair ``i`` is the wedge
+    with edges ``pair_e1[i]`` = ``(u, v)`` and ``pair_e2[i]`` = ``(v, w)``
+    of bloom ``pair_bloom[i]``, and blooms are numbered from 0 in
+    :func:`bloom_blocks` order (start, then end gid), each bloom's pairs
+    contiguous and in discovery order.
+    """
+    support = np.zeros(num_edges, dtype=np.int64)
+    pair_e1_parts: List[np.ndarray] = []
+    pair_e2_parts: List[np.ndarray] = []
+    bloom_k_parts: List[np.ndarray] = []
+    for mid_edges, end_edges, bloom_k in bloom_blocks(
+        indptr, neighbors, edge_ids, row_prios, prio
+    ):
+        add_bloom_support(support, mid_edges, end_edges, bloom_k)
+        pair_e1_parts.append(mid_edges)
+        pair_e2_parts.append(end_edges)
+        bloom_k_parts.append(bloom_k)
+
+    if not bloom_k_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return support, empty, empty, empty, empty
+    bloom_k = np.concatenate(bloom_k_parts)
+    pair_bloom = np.repeat(np.arange(len(bloom_k), dtype=np.int64), bloom_k)
+    return (
+        support,
+        np.concatenate(pair_e1_parts),
+        np.concatenate(pair_e2_parts),
+        pair_bloom,
+        bloom_k,
+    )

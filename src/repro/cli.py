@@ -62,7 +62,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import datasets
-from repro.butterfly.vectorized import count_per_edge_vectorized
+from repro.butterfly.counting import count_per_edge
 from repro.core.api import ALGORITHMS, bitruss_decomposition
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.io import (
@@ -316,7 +316,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print("  (no profile block; start the server with --profile)")
         return 0
     graph = _load_graph(args)
-    support = count_per_edge_vectorized(graph)
+    support = count_per_edge(graph)
     butterflies = int(support.sum()) // 4
     print(f"|E|      = {graph.num_edges}")
     print(f"|U|      = {graph.num_upper}")

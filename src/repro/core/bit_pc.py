@@ -24,8 +24,8 @@ update reduction of Figures 7 and 10 comes from.
 
 Candidate extraction and recounting run on each (sub)graph's shared CSR
 arrays: ``subgraph_from_edge_ids`` builds the candidate's CSR in one
-vectorized pass and :func:`repro.butterfly.counting.count_per_edge` scans it
-with priority-sorted prefix lookups.
+vectorized pass and :func:`repro.butterfly.counting.count_per_edge` counts it
+with the wedge-block kernel.
 """
 
 from __future__ import annotations

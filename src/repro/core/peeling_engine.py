@@ -46,7 +46,8 @@ materialized window of the lowest-support edges, after Julienne's bucketing
 edges in Python.
 
 The index is built by the wedge-block kernel of
-:mod:`repro.butterfly.wedges` (see :func:`build_shard_on_arrays`).
+:mod:`repro.butterfly.wedges`
+(:func:`~repro.butterfly.wedges.build_shard_on_arrays`).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.butterfly.wedges import add_bloom_support, bloom_blocks
+from repro.butterfly.wedges import build_shard_on_arrays
 from repro.graph.bipartite import BipartiteGraph
 from repro.obs import phases as obs_phases
 from repro.utils.bucket_queue import BucketQueue
@@ -171,49 +172,6 @@ def peel_region(
     return phi
 
 
-def build_shard_on_arrays(
-    indptr: np.ndarray,
-    neighbors: np.ndarray,
-    edge_ids: np.ndarray,
-    row_prios: np.ndarray,
-    prio: np.ndarray,
-    num_edges: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Algorithm 3 over every start vertex, on raw gid-CSR arrays.
-
-    The construction kernel underneath :meth:`CSRPeelingEngine.build`,
-    phrased over arrays (not a graph object).  The blooms come from the
-    wedge-block kernel (:func:`repro.butterfly.wedges.bloom_blocks`).
-    Returns ``(support, pair_e1, pair_e2, pair_bloom, bloom_k)`` where
-    ``support`` is the per-edge butterfly support and ``pair_bloom``
-    numbers blooms from 0 in discovery order.
-    """
-    support = np.zeros(num_edges, dtype=np.int64)
-    pair_e1_parts: List[np.ndarray] = []
-    pair_e2_parts: List[np.ndarray] = []
-    bloom_k_parts: List[np.ndarray] = []
-    for mid_edges, end_edges, bloom_k in bloom_blocks(
-        indptr, neighbors, edge_ids, row_prios, prio
-    ):
-        add_bloom_support(support, mid_edges, end_edges, bloom_k)
-        pair_e1_parts.append(mid_edges)
-        pair_e2_parts.append(end_edges)
-        bloom_k_parts.append(bloom_k)
-
-    if not bloom_k_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return support, empty, empty, empty, empty
-    bloom_k = np.concatenate(bloom_k_parts)
-    pair_bloom = np.repeat(np.arange(len(bloom_k), dtype=np.int64), bloom_k)
-    return (
-        support,
-        np.concatenate(pair_e1_parts),
-        np.concatenate(pair_e2_parts),
-        pair_bloom,
-        bloom_k,
-    )
-
-
 def _gather_rows(
     indptr: np.ndarray, data: np.ndarray, rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -273,14 +231,14 @@ class CSRPeelingEngine:
     ) -> "CSRPeelingEngine":
         """Construct the flat-array index straight from the graph's CSR.
 
-        Performs the same priority-obeyed wedge traversal as
-        :meth:`repro.index.be_index.BEIndex.build` (Algorithm 3), run by
-        the wedge-block kernel of :mod:`repro.butterfly.wedges`: whole
-        blocks of wedges are grouped by ``(start, end)`` with one stable
-        sort and the per-edge supports scattered with ``np.add.at`` — no
-        Python loop per vertex, and no Bloom dictionaries are ever
-        materialized.  The traversal itself is one call to
-        :func:`build_shard_on_arrays`.
+        Algorithm 3, run by the wedge-block kernel of
+        :mod:`repro.butterfly.wedges` (the traversal
+        :meth:`repro.index.be_index.BEIndex.build` uses too): whole blocks
+        of wedges are grouped by ``(start, end)`` with one stable sort and
+        the per-edge supports scattered with ``np.add.at`` — no Python
+        loop per vertex, and no Bloom dictionaries are ever materialized.
+        The traversal itself is one call to
+        :func:`~repro.butterfly.wedges.build_shard_on_arrays`.
         """
         prio = (
             np.asarray(priorities)

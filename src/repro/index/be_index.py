@@ -17,7 +17,10 @@ This module implements
 * ``BEIndex.build``        — Algorithm 3 (IndexConstruction), and, when an
   ``assigned`` mask is given, Algorithm 6 (CompressedIndexConstruction):
   assigned edges contribute their wedges to bloom counts but are not inserted
-  into ``L(I)``, so peeling never updates them;
+  into ``L(I)``, so peeling never updates them.  The blooms come from the
+  wedge-block kernel (:mod:`repro.butterfly.wedges`), the same traversal
+  the flat :class:`~repro.core.peeling_engine.CSRPeelingEngine` is built
+  from; this module only links them into dicts;
 * ``BEIndex.remove_edge``  — Algorithm 2 (RemoveEdge);
 * ``BEIndex.detach_edge``  — the pass-1 half of Algorithm 5 (BiT-BU++):
   unlink an edge and its twins, incrementing per-bloom removal counters,
@@ -34,11 +37,12 @@ updates; tests validate the result against brute-force recounting.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.butterfly.counting import collect_wedges
+from repro.butterfly.wedges import build_shard_on_arrays
 from repro.graph.bipartite import BipartiteGraph
 from repro.utils.stats import UpdateCounter
 
@@ -149,13 +153,17 @@ class BEIndex:
 
         Notes
         -----
-        The traversal runs on the graph's shared priority-sorted CSR
-        (:meth:`~repro.graph.bipartite.BipartiteGraph.csr_gid_sorted`): each
-        "priority < p(start)" filter is a ``searchsorted`` prefix lookup
-        instead of a scan over the whole row.  The per-edge supports are
-        computed as a by-product of the same wedge traversal (each wedge of
-        a ``k``-wedge anchor contributes ``k − 1`` butterflies to each of
-        its two edges), so no separate counting pass is needed.
+        The wedges come from the wedge-block kernel
+        (:func:`repro.butterfly.wedges.build_shard_on_arrays`), which also
+        yields the per-edge supports (each wedge of a ``k``-wedge bloom
+        contributes ``k − 1`` butterflies to each of its two edges).  The
+        kernel numbers blooms by ``(start, end)``; here they are renumbered
+        in the order a per-start traversal discovers them — start, then
+        the CSR slot of the first wedge's middle, then of its end — and
+        linked bloom by bloom, wedge by wedge.  The ids and the iteration
+        order of every ``twin`` dict and ``edge_blooms`` set fix the order
+        in which :meth:`remove_edge` visits blooms, and so the update
+        counts of the peeling algorithms.
 
         Examples
         --------
@@ -164,45 +172,72 @@ class BEIndex:
         1
         """
         prio = priorities if priorities is not None else graph.priorities()
-        indptr, nbr_arr, eid_arr, row_prios = graph.csr_gid_sorted_with_prios(
+        indptr, neighbors, edge_ids, row_prios = graph.csr_gid_sorted_with_prios(
             priorities
         )
-        support = np.zeros(graph.num_edges, dtype=np.int64)
-
+        support, pair_e1, pair_e2, _, bloom_k = build_shard_on_arrays(
+            indptr, neighbors, edge_ids, row_prios, prio, graph.num_edges
+        )
         blooms: Dict[int, Bloom] = {}
         edge_blooms: Dict[int, Set[int]] = {}
-        next_bloom_id = 0
+        if not len(bloom_k):
+            return cls(graph, support, blooms, edge_blooms)
 
-        is_assigned = assigned if assigned is not None else None
+        # The first wedge (start, mid, end) of every bloom, located by its
+        # two CSR slots: (start, mid) in the start's row and (mid, end) in
+        # the middle's.  slot[side, e] is e's slot in the row of its lower
+        # (0) or upper (1) endpoint; lower rows come first in the gid CSR.
+        lower_slots = int(indptr[graph.num_lower])
+        slot = np.empty((2, graph.num_edges), dtype=np.int64)
+        slot[0, edge_ids[:lower_slots]] = np.arange(lower_slots)
+        slot[1, edge_ids[lower_slots:]] = np.arange(lower_slots, len(edge_ids))
+        first = np.cumsum(bloom_k) - bloom_k
+        e_mid, e_end = pair_e1[first], pair_e2[first]
+        # The start is upper iff the two edges share their lower endpoint.
+        upper_start = graph.edge_lower[e_mid] == graph.edge_lower[e_end]
+        side = upper_start.astype(np.intp)
+        start_slot = slot[side, e_mid]
+        end_slot = slot[1 - side, e_end]
+        anchor = neighbors[slot[1 - side, e_mid]]
+        partner = neighbors[end_slot]
+        # Rows are laid out by start, so start_slot orders by start, then
+        # middle; end_slot breaks ties by end.
+        order = np.lexsort((end_slot, start_slot))
+        k = bloom_k[order]
+        new_first = np.cumsum(k) - k
+        pair = np.repeat(first[order] - new_first, k)
+        pair += np.arange(len(pair))
+        # Links in insertion order: per wedge (u, v) -> (v, w), then back.
+        link_edge = np.column_stack((pair_e1[pair], pair_e2[pair])).ravel()
+        link_twin = np.column_stack((pair_e2[pair], pair_e1[pair])).ravel()
+        link_bloom = np.repeat(np.arange(len(k)), 2 * k)
+        if assigned is not None:
+            keep = ~np.asarray(assigned, dtype=bool)[link_edge]
+            link_edge, link_twin = link_edge[keep], link_twin[keep]
+            link_bloom = link_bloom[keep]
 
-        for start in range(graph.num_vertices):
-            wedges = collect_wedges(
-                indptr, nbr_arr, eid_arr, row_prios, prio, start
-            )
-            if wedges is None:
-                continue
-            # wedge group per end vertex: list of (middle, e_uv, e_vw)
-            groups: Dict[int, List[Tuple[int, int, int]]] = {}
-            for w, v, e_uv, e_vw in wedges:
-                groups.setdefault(w, []).append((v, e_uv, e_vw))
-            for end, wedges in groups.items():
-                k = len(wedges)
-                if k < 2:
-                    continue
-                bloom = Bloom(next_bloom_id, start, end, k)
-                next_bloom_id += 1
-                blooms[bloom.bloom_id] = bloom
-                for _v, e_uv, e_vw in wedges:
-                    support[e_uv] += k - 1
-                    support[e_vw] += k - 1
-                    keep_uv = is_assigned is None or not is_assigned[e_uv]
-                    keep_vw = is_assigned is None or not is_assigned[e_vw]
-                    if keep_uv:
-                        bloom.twin[e_uv] = e_vw
-                        edge_blooms.setdefault(e_uv, set()).add(bloom.bloom_id)
-                    if keep_vw:
-                        bloom.twin[e_vw] = e_uv
-                        edge_blooms.setdefault(e_vw, set()).add(bloom.bloom_id)
+        links = zip(link_edge.tolist(), link_twin.tolist())
+        num_links = np.bincount(link_bloom, minlength=len(k)).tolist()
+        for bloom_id, bloom_args in enumerate(
+            zip(anchor[order].tolist(), partner[order].tolist(), k.tolist())
+        ):
+            bloom = blooms[bloom_id] = Bloom(bloom_id, *bloom_args)
+            bloom.twin.update(islice(links, num_links[bloom_id]))
+
+        # Each edge's bloom set, filled in link order; edges enter the map
+        # in order of their first link.
+        by_edge = np.argsort(link_edge, kind="stable")
+        sorted_edges = link_edge[by_edge]
+        heads = np.flatnonzero(np.diff(sorted_edges, prepend=-1))
+        bounds = np.append(heads, len(by_edge))
+        seen = np.argsort(by_edge[heads])
+        bloom_of_link = link_bloom[by_edge].tolist()
+        for edge, lo, hi in zip(
+            sorted_edges[heads[seen]].tolist(),
+            bounds[seen].tolist(),
+            bounds[seen + 1].tolist(),
+        ):
+            edge_blooms[edge] = set(bloom_of_link[lo:hi])
         return cls(graph, support, blooms, edge_blooms)
 
     # ---------------------------------------------------------- inspection

@@ -46,7 +46,7 @@ from typing import (
 
 import numpy as np
 
-from repro.butterfly.vectorized import count_per_edge_vectorized
+from repro.butterfly.counting import count_per_edge
 from repro.core.api import bitruss_decomposition
 from repro.core.result import BitrussDecomposition
 from repro.graph.bipartite import BipartiteGraph
@@ -165,7 +165,7 @@ class DynamicBipartiteGraph:
         Each CSR row lists its neighbours in edge-id order, so building a
         row's set from its slice adds them in the order a replay would.
         """
-        support = count_per_edge_vectorized(graph).tolist()
+        support = count_per_edge(graph).tolist()
         self._n_u = graph.num_upper
         self._n_l = graph.num_lower
         self._adj_u: List[Set[int]] = _row_sets(graph.csr_upper())

@@ -3,17 +3,26 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.butterfly.counting import count_per_edge
 from repro.butterfly.enumeration import reference_blooms
+from repro.core.bit_bu import bit_bu
+from repro.core.bit_bu_batch import bit_bu_plus_plus
+from repro.core.bit_pc import bit_pc
+from repro.datasets import dataset_names, load_dataset
+from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import (
+    complete_biclique,
     erdos_renyi_bipartite,
     paper_figure4_graph,
     planted_bloom,
 )
 from repro.index.be_index import BEIndex
 from repro.utils.priority import vertex_priorities
+from repro.utils.stats import UpdateCounter
 from tests.conftest import bipartite_graphs
+from tests.wedge_oracles import scalar_be_index
 
 
 class TestConstruction:
@@ -310,3 +319,114 @@ def test_build_support_property(graph):
     # links come in pairs within blooms, 2k links per k-wedge bloom
     for bloom in index.blooms.values():
         assert len(bloom.twin) == 2 * bloom.k
+
+
+# ------------------------------------------- kernel build vs per-start oracle
+
+
+def index_fields(index):
+    """Every field the removal operations read, in iteration order."""
+    return {
+        "bloom ids": list(index.blooms),
+        "blooms": [
+            (b.bloom_id, b.anchor, b.partner, b.k) for b in index.blooms.values()
+        ],
+        "twin": [list(b.twin.items()) for b in index.blooms.values()],
+        "edge_blooms": [
+            (edge, list(ids)) for edge, ids in index.edge_blooms.items()
+        ],
+        "support": index.support.tolist(),
+    }
+
+
+def assert_matches_oracle(graph, **kwargs):
+    got = BEIndex.build(graph, **kwargs)
+    want = scalar_be_index(graph, **kwargs)
+    assert got.support.dtype == want.support.dtype
+    for (name, a), b in zip(index_fields(got).items(), index_fields(want).values()):
+        assert a == b, f"{name} differs from the per-start oracle"
+    got.validate()
+
+
+@pytest.mark.parametrize("name", dataset_names())
+def test_dataset_index_matches_oracle(name):
+    graph = load_dataset(name)
+    assert_matches_oracle(graph)
+    assigned = np.random.default_rng(5).random(graph.num_edges) < 0.3
+    assert_matches_oracle(graph, assigned=assigned)
+
+
+@st.composite
+def custom_priorities(draw, n):
+    """A Definition 7 stand-in: permutations, floats, sparse ints, ties."""
+    kind = draw(st.sampled_from(["permutation", "float", "spread", "ties"]))
+    if kind == "ties":
+        return np.asarray(
+            draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        )
+    prio = np.asarray(draw(st.permutations(range(1, n + 1))), dtype=np.int64)
+    if kind == "float":
+        return prio / 7.0 - 3.0
+    if kind == "spread":
+        return (prio - n // 2) * 10**15
+    return prio
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipartite_graphs(max_upper=8, max_lower=8, max_edges=35), st.data())
+def test_hypothesis_index_matches_oracle(graph, data):
+    priorities = data.draw(custom_priorities(graph.num_vertices))
+    assigned = np.asarray(
+        data.draw(
+            st.lists(
+                st.booleans(), min_size=graph.num_edges, max_size=graph.num_edges
+            )
+        ),
+        dtype=bool,
+    )
+    assert_matches_oracle(graph, priorities=priorities)
+    assert_matches_oracle(graph, priorities=priorities, assigned=assigned)
+    assert_matches_oracle(graph, assigned=assigned)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        BipartiteGraph(0, 0),
+        BipartiteGraph(3, 4),
+        BipartiteGraph(9, 7, [(0, 0), (0, 1), (1, 0), (1, 1), (5, 4), (6, 4)]),
+        BipartiteGraph(1, 30, [(0, v) for v in range(30)]),
+        BipartiteGraph(30, 1, [(u, 0) for u in range(30)]),
+        complete_biclique(5, 5),
+        BipartiteGraph(5, 6, [(i, i) for i in range(5)] + [(0, 5), (1, 5)]),
+    ],
+    ids=[
+        "empty", "edgeless", "isolated", "upper-hub-star", "lower-hub-star",
+        "K55", "butterfly-free",
+    ],
+)
+def test_degenerate_index_matches_oracle(graph):
+    assert_matches_oracle(graph)
+    assert_matches_oracle(graph, assigned=np.arange(graph.num_edges) % 2 == 0)
+
+
+PEELERS = {"bu": bit_bu, "bu++": bit_bu_plus_plus, "pc": bit_pc}
+
+
+@pytest.mark.parametrize("algorithm", sorted(PEELERS))
+@pytest.mark.parametrize("name", dataset_names())
+def test_update_totals_match_oracle_index(name, algorithm, monkeypatch):
+    """Bloom ids and link order fix the order of support updates, and so
+    the update counts of the figure benches."""
+    graph = load_dataset(name)
+    peel = PEELERS[algorithm]
+    got = UpdateCounter()
+    phi = peel(graph, counter=got).phi
+    monkeypatch.setattr(
+        BEIndex,
+        "build",
+        classmethod(lambda cls, g, **kwargs: scalar_be_index(g, **kwargs)),
+    )
+    want = UpdateCounter()
+    np.testing.assert_array_equal(peel(graph, counter=want).phi, phi)
+    assert got.total == want.total

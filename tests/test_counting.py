@@ -15,7 +15,9 @@ from repro.butterfly.enumeration import (
     count_butterflies_brute_force,
     supports_from_enumeration,
 )
+from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import (
+    chung_lu_bipartite,
     complete_biclique,
     erdos_renyi_bipartite,
     planted_bloom,
@@ -35,8 +37,6 @@ class TestKnownValues:
         assert count_per_edge(g).max() == 0
 
     def test_no_butterflies_in_path(self):
-        from repro.graph.bipartite import BipartiteGraph
-
         g = BipartiteGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
         assert count_butterflies_total(g) == 0
 
@@ -75,6 +75,50 @@ class TestCrossValidation:
         support = count_per_edge(medium_random)
         total = count_butterflies_total(medium_random)
         assert int(support.sum()) == 4 * total
+
+
+class TestEquivalence:
+    """The wedge-block kernel behind :func:`count_per_edge` agrees with the
+    naive list-intersection counter on every graph shape."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs(self, seed):
+        g = erdos_renyi_bipartite(15, 15, 100, seed=seed)
+        np.testing.assert_array_equal(count_per_edge(g), count_per_edge_naive(g))
+
+    def test_skewed_graph(self):
+        g = chung_lu_bipartite(200, 20, 900, exponent_upper=2.4,
+                               exponent_lower=1.8, seed=5)
+        np.testing.assert_array_equal(count_per_edge(g), count_per_edge_naive(g))
+
+    def test_structured_graphs(self):
+        for g in (complete_biclique(4, 5), planted_bloom(7)):
+            np.testing.assert_array_equal(
+                count_per_edge(g), count_per_edge_naive(g)
+            )
+
+    def test_total(self, medium_random):
+        assert count_butterflies_total(medium_random) == (
+            count_butterflies_brute_force(medium_random)
+        )
+
+    def test_empty_graph(self):
+        g = BipartiteGraph(0, 0)
+        assert count_per_edge(g).shape == (0,)
+        assert count_butterflies_total(g) == 0
+
+    def test_no_butterflies(self):
+        g = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
+        assert count_per_edge(g).tolist() == [0, 0]
+
+    def test_with_supplied_priorities(self, medium_random):
+        from repro.utils.priority import vertex_priorities
+
+        prio = vertex_priorities(medium_random.degrees())
+        np.testing.assert_array_equal(
+            count_per_edge(medium_random, priorities=prio),
+            count_per_edge_naive(medium_random),
+        )
 
 
 @settings(max_examples=60, deadline=None)

@@ -200,7 +200,7 @@ class TestEngineInternals:
         """One update per (edge, batch) support change.  The pinned totals
         (bucketed at quarters of the maximum original support) are those
         the engine recorded when it still peeled through ``BucketQueue``."""
-        from repro.butterfly.vectorized import count_per_edge_vectorized
+        from repro.butterfly.counting import count_per_edge
         from repro.datasets import load_dataset
         from repro.graph.generators import paper_figure4_graph
         from repro.utils.stats import UpdateCounter
@@ -210,7 +210,7 @@ class TestEngineInternals:
             "medium_random": lambda: erdos_renyi_bipartite(30, 25, 220, seed=99),
             "d-style": lambda: load_dataset("d-style"),
         }[name]()
-        support = count_per_edge_vectorized(graph)
+        support = count_per_edge(graph)
         top = int(support.max())
         counter = UpdateCounter(
             original_supports=support,

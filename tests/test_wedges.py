@@ -1,7 +1,7 @@
 """The wedge-block kernel against a plain-Python rebuild of its outputs.
 
 The oracle walks every start vertex with the scalar scaffold
-:func:`repro.butterfly.counting.collect_wedges`, groups its wedges by end
+:func:`tests.wedge_oracles.collect_wedges`, groups its wedges by end
 vertex and numbers the blooms in discovery order (starts ascending, then
 ends ascending, then middle slots), so every array of a build shard —
 supports, wedge pairs, bloom ids and bloom sizes — must come out equal,
@@ -16,14 +16,18 @@ import pytest
 from hypothesis import given, settings
 
 from repro.butterfly import wedges
-from repro.butterfly.counting import collect_wedges, count_per_edge_naive
-from repro.butterfly.wedges import WEDGE_BUDGET, support_on_arrays
+from repro.butterfly.counting import count_per_edge_naive
+from repro.butterfly.wedges import (
+    WEDGE_BUDGET,
+    build_shard_on_arrays,
+    support_on_arrays,
+)
 from repro.core.api import bitruss_decomposition
-from repro.core.peeling_engine import build_shard_on_arrays
 from repro.datasets import dataset_names, load_dataset
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import complete_biclique, erdos_renyi_bipartite
 from tests.conftest import bipartite_graphs
+from tests.wedge_oracles import collect_wedges
 
 BUDGETS = (1, 7, WEDGE_BUDGET)
 SHARD_ARRAYS = ("support", "pair_e1", "pair_e2", "pair_bloom", "bloom_k")
