@@ -35,7 +35,7 @@ from repro.core import (
 from repro.datasets import dataset_spec, load_dataset
 from repro.graph.bipartite import BipartiteGraph
 from repro.obs import bench as obs_bench
-from repro.obs import phases as obs_phases
+from repro.obs import spans as obs_spans
 from repro.obs.bench import BenchResult, Contract, Metric, peak_rss_bytes
 from repro.utils.stats import UpdateCounter
 
@@ -156,17 +156,17 @@ def profiled(fn):
     restored afterwards so timed (unprofiled) measurements in the same
     process stay on the no-op path.
     """
-    was_enabled = obs_phases.enabled()
-    obs_phases.enable(True)
-    obs_phases.reset()
+    was_enabled = obs_spans.profiling()
+    obs_spans.enable_profiling(True)
+    obs_spans.reset_tree()
     start = time.perf_counter()
     try:
         result = fn()
     finally:
         wall = time.perf_counter() - start
-        tree = obs_phases.tree()
-        obs_phases.reset()
-        obs_phases.enable(was_enabled)
+        tree = obs_spans.tree()
+        obs_spans.reset_tree()
+        obs_spans.enable_profiling(was_enabled)
     return result, {"wall_seconds": wall, "tree": tree}
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.butterfly.wedges import support_on_arrays
 from repro.graph.bipartite import BipartiteGraph
-from repro.obs import phases as obs_phases
+from repro.obs import spans as obs_spans
 
 
 def count_per_edge(
@@ -53,7 +53,7 @@ def count_per_edge(
     indptr, neighbors, edge_ids, row_prios = graph.csr_gid_sorted_with_prios(
         priorities
     )
-    with obs_phases.phase("butterfly counting"):
+    with obs_spans.span("butterfly counting"):
         return support_on_arrays(
             indptr, neighbors, edge_ids, row_prios, prio, graph.num_edges
         )

@@ -74,7 +74,7 @@ from repro.graph.io import (
 )
 from repro.obs import bench as obs_bench
 from repro.obs import log as obs_log
-from repro.obs import phases as obs_phases
+from repro.obs import spans as obs_spans
 from repro.utils.stats import UpdateCounter
 
 #: Human narration goes through this stdout logger so ``--quiet`` can
@@ -126,9 +126,9 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.profile:
-        obs_phases.reset()
+        obs_spans.reset_tree()
     wall_start = time.perf_counter()
-    with obs_phases.phase("load graph"):
+    with obs_spans.span("load graph"):
         graph = _load_graph(args)
     counter = UpdateCounter()
     result = bitruss_decomposition(
@@ -137,7 +137,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         tau=args.tau,
         counter=counter,
     )
-    with obs_phases.phase("hierarchy"):
+    with obs_spans.span("hierarchy"):
         hierarchy = result.hierarchy()
     wall_seconds = time.perf_counter() - wall_start
     _say(f"graph: |U|={graph.num_upper} |L|={graph.num_lower} m={graph.num_edges}")
@@ -150,10 +150,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         _say(f"  ... ({len(hierarchy) - args.levels} more levels)")
     profile_block = None
     if args.profile:
-        tree = obs_phases.tree()
+        tree = obs_spans.tree()
         profile_block = {"wall_seconds": wall_seconds, "tree": tree}
         _say("phase profile:")
-        _say(obs_phases.render_tree(tree))
+        _say(obs_spans.render_tree(tree))
     if args.json:
         payload = {
             "algorithm": result.stats.algorithm,
@@ -233,13 +233,13 @@ def _print_profile_block(payload: object) -> bool:
         block = payload["profile"]
     if isinstance(block, dict) and "wall_seconds" in block:
         wall = float(block["wall_seconds"])
-        leaves = obs_phases.leaf_seconds(tree)
+        leaves = obs_spans.leaf_seconds(tree)
         print(f"wall time: {wall:.4f}s")
         if wall > 0:
             print(
                 f"leaf coverage: {leaves:.4f}s ({100.0 * leaves / wall:.1f}% of wall)"
             )
-    print(obs_phases.render_tree(tree))
+    print(obs_spans.render_tree(tree))
     return True
 
 
@@ -389,16 +389,16 @@ def _cmd_index(args: argparse.Namespace) -> int:
     from repro.service import build_artifact, save_artifact
 
     if args.profile:
-        obs_phases.reset()
+        obs_spans.reset_tree()
     wall_start = time.perf_counter()
-    with obs_phases.phase("load graph"):
+    with obs_spans.span("load graph"):
         graph = _load_graph(args)
     artifact = build_artifact(
         graph,
         algorithm=args.algorithm,
         tau=args.tau,
     )
-    with obs_phases.phase("save artifact"):
+    with obs_spans.span("save artifact"):
         save_artifact(artifact, args.output)
     wall_seconds = time.perf_counter() - wall_start
     _say(f"graph: |U|={graph.num_upper} |L|={graph.num_lower} m={graph.num_edges}")
@@ -407,9 +407,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
     _say(f"graph hash: {artifact.graph_hash[:16]}…")
     _say(f"wrote artifact to {args.output}")
     if args.profile:
-        tree = obs_phases.tree()
+        tree = obs_spans.tree()
         _say(f"phase profile (wall {wall_seconds:.4f}s):")
-        _say(obs_phases.render_tree(tree))
+        _say(obs_spans.render_tree(tree))
     return 0
 
 
@@ -1533,7 +1533,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # `stats --profile FILE` reuses the flag name with a string dest, so
     # only a boolean True means "turn the profiler on for this run".
     if getattr(args, "profile", False) is True:
-        obs_phases.enable(True)
+        obs_spans.enable_profiling(True)
     return args.func(args)
 
 

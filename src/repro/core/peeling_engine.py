@@ -58,7 +58,7 @@ import numpy as np
 
 from repro.butterfly.wedges import build_shard_on_arrays
 from repro.graph.bipartite import BipartiteGraph
-from repro.obs import phases as obs_phases
+from repro.obs import spans as obs_spans
 from repro.utils.bucket_queue import BucketQueue
 from repro.utils.stats import UpdateCounter
 
@@ -249,11 +249,11 @@ class CSRPeelingEngine:
             priorities
         )
         m = graph.num_edges
-        with obs_phases.phase("bloom discovery"):
+        with obs_spans.span("bloom discovery"):
             support, pair_e1, pair_e2, pair_bloom, bloom_k = build_shard_on_arrays(
                 indptr, neighbors, edge_ids, row_prios, prio, m
             )
-        with obs_phases.phase("assemble"):
+        with obs_spans.span("assemble"):
             num_pairs = len(pair_bloom)
             num_blooms = len(bloom_k)
 
@@ -336,7 +336,7 @@ class CSRPeelingEngine:
         while frontier:
             batch, mbs = frontier.pop()
             phi[batch] = mbs
-            with obs_phases.phase("batch updates"):
+            with obs_spans.span("batch updates"):
                 self._peel_batch(batch, mbs, frontier, counter)
         return phi
 
@@ -463,7 +463,7 @@ class PeelFrontier:
         """Rebuild the window from one scan of the remaining supports."""
         if not self._left:
             raise IndexError("pop from empty PeelFrontier")
-        with obs_phases.phase("frontier refill"):
+        with obs_spans.span("frontier refill"):
             # The one O(m) temporary (besides the mask); the bool mask
             # below is built only after it is released.
             keys = self.support[self.remaining]

@@ -35,7 +35,7 @@ from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.obs import phases as obs_phases
+from repro.obs import spans as obs_spans
 
 PathLike = Union[str, Path]
 
@@ -255,7 +255,7 @@ def load_edge_list_streaming(
     graph is bitwise identical to the in-memory loader's on any input;
     peak resident memory is a fraction of it on large files.
     """
-    with obs_phases.phase("streaming ingest"):
+    with obs_spans.span("streaming ingest"):
         return edges_to_csr_chunked(
             iter_edge_chunks(path, base=base, chunk_edges=chunk_edges),
             dedup=dedup,

@@ -81,7 +81,7 @@ import numpy as np
 from repro.core.peeling_engine import NO_EXPIRY, peel_region
 from repro.graph.bipartite import BipartiteGraph
 from repro.obs import metrics as obs_metrics
-from repro.obs import phases as obs_phases
+from repro.obs import spans as obs_spans
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dynamic imports us)
     from repro.core.result import BitrussDecomposition
@@ -600,13 +600,13 @@ class IncrementalBitruss:
         mutations of the batch legitimately change supports outside the
         pending regions.
         """
-        with obs_phases.phase("region search"):
+        with obs_spans.span("region search"):
             found = self._collect_region(
                 seeds, bound, mode, cap, state.pending_edges
             )
         if found is _CONFLICT:
             self._conflict_flush(state)
-            with obs_phases.phase("region search"):
+            with obs_spans.span("region search"):
                 found = self._collect_region(seeds, bound, mode, cap)
         if found is _BUDGET:
             return found
@@ -666,7 +666,7 @@ class IncrementalBitruss:
                     expiry = min(exterior_phi)
                 fly_edges.append(interior)
                 fly_expiry.append(expiry)
-        with obs_phases.phase("region peel"):
+        with obs_spans.span("region peel"):
             new_phi = peel_region(len(region), fly_edges, fly_expiry)
         values = new_phi.tolist()
         for entry in pending:

@@ -1,4 +1,4 @@
-"""Unified observability layer: metrics, tracing, phase profiling, logging.
+"""Unified observability layer: metrics, spans, phase profiling, logging.
 
 A dependency-free (stdlib + numpy-free) telemetry toolkit threaded through
 every pillar of the codebase:
@@ -9,15 +9,17 @@ every pillar of the codebase:
   attribute bumps, no locks on the single-threaded asyncio path, and
   plain-dict snapshots so the process-global registry merges into the
   server's at scrape time.
-* :mod:`repro.obs.trace` — lightweight trace ids and span contexts.  One
-  trace id per HTTP request, carried in a :mod:`contextvars` variable,
-  propagated through the query coalescer and executor hops.
-* :mod:`repro.obs.phases` — the structured phase profiler.  Off by
-  default at near-zero cost (a module-level no-op context manager);
-  enabled via ``REPRO_PROFILE=1`` or the CLI ``--profile`` flags, it
-  records a nested phase tree (the paper's counting / index-build /
-  peeling decomposition made first-class) that surfaces in logs, bench
-  JSONs and ``repro-bitruss stats``.
+* :mod:`repro.obs.trace` — lightweight trace ids.  One trace id per HTTP
+  request, carried in a :mod:`contextvars` variable, propagated through
+  the query coalescer and executor hops.
+* :mod:`repro.obs.spans` — the one timing primitive.  ``span(name)``
+  records a span inside a trace (the per-request waterfalls behind
+  ``/debug/traces``, kept in :mod:`repro.obs.store`) and, with profiling
+  on (``REPRO_PROFILE=1`` or the CLI ``--profile`` flags), adds to a
+  nested phase tree aggregated by name path (the paper's counting /
+  index-build / peeling decomposition made first-class) that surfaces in
+  logs, bench JSONs, ``/metrics`` and ``repro-bitruss stats``.  With
+  neither, it is a shared no-op at near-zero cost.
 * :mod:`repro.obs.bench` — the performance-trajectory plane: schema'd
   :class:`BenchResult` documents with an :class:`EnvFingerprint` of the
   producing machine/build, ``publish()`` into canonical per-bench JSONs
@@ -28,19 +30,17 @@ every pillar of the codebase:
   with trace-id correlation and the shared ``repro.*`` logger tree the
   server, update manager and CLI log through instead of bare prints.
 
-The existing per-run sinks in :mod:`repro.utils.stats` (``PhaseTimer``,
-``UpdateCounter``) are unchanged — ``PhaseTimer`` additionally feeds the
-phase profiler when profiling is enabled, so every already-instrumented
-algorithm phase appears in the tree for free.
+The per-run sinks in :mod:`repro.utils.stats` stay: ``PhaseTimer`` is a
+sink over spans (each ``timer.time(...)`` block is a span), so every
+instrumented algorithm phase appears in the tree for free.
 """
 
-from repro.obs import bench, log, metrics, phases, spans, store, trace
+from repro.obs import bench, log, metrics, spans, store, trace
 from repro.obs.bench import BenchResult, Contract, EnvFingerprint, Metric
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, get_registry
-from repro.obs.phases import PhaseProfiler
-from repro.obs.spans import Span, SpanRecorder, get_recorder
+from repro.obs.spans import Span, SpanRecorder, get_recorder, span
 from repro.obs.store import TraceRecord, TraceStore
-from repro.obs.trace import current_trace_id, new_trace_id, span
+from repro.obs.trace import current_trace_id, new_trace_id
 
 __all__ = [
     "BenchResult",
@@ -52,7 +52,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseProfiler",
     "Span",
     "SpanRecorder",
     "TraceRecord",
@@ -63,7 +62,6 @@ __all__ = [
     "log",
     "metrics",
     "new_trace_id",
-    "phases",
     "span",
     "spans",
     "store",

@@ -1,16 +1,47 @@
-"""Always-on span recording: a bounded flight recorder for live tracing.
+"""Spans: the one timing primitive, for request traces and the phase tree.
 
-Where :mod:`repro.obs.phases` answers "where does a *run* spend its
-time" (opt-in, aggregate), spans answer "why was *this request* slow"
-(always on, per trace).  A :class:`Span` is one timed operation with a
-trace id, its own span id and a parent span id, so a request's spans
-assemble into a tree.
+Call sites wrap work in ``with span(name):``.  What that records depends
+on the context it runs in:
 
-The cost model keeps this safe to leave on in production:
+* **inside a trace** (a trace id is set, see :mod:`repro.obs.trace`) it
+  records a :class:`Span` — one timed operation with a trace id, its own
+  span id and a parent span id, so a request's spans assemble into a
+  tree ("why was *this request* slow");
+* **with profiling on** (``REPRO_PROFILE=1`` or the CLI ``--profile``
+  flags) it adds its duration and count to the node of the **phase
+  tree** reached by its name path ("where does a *run* spend its time");
+  the paper's counting / index-build / peeling split reads like::
 
-* outside a trace (bare library calls, CLI runs without ``--trace``)
-  :func:`span` degrades to :func:`repro.obs.phases.phase` — a shared
-  no-op unless profiling is enabled;
+      index construction             0.0090s
+        bloom discovery              0.0045s
+        assemble                     0.0028s
+      peeling                        0.0849s
+        frontier refill              0.0002s
+        batch updates                0.0783s x240
+
+* otherwise it returns one shared no-op context manager, so an untraced,
+  unprofiled site costs a contextvar read and two flag checks; hot loops
+  can stay instrumented.
+
+Both parents come from one per-context cursor (a :mod:`contextvars`
+variable holding the open span and the open tree node), as in Dapper
+(Sigelman et al., 2010): a span's parent is whatever was open in the
+context it runs in, so threads and asyncio tasks nest independently,
+and ``contextvars.copy_context`` carries the cursor across executor
+hops and into tasks created under a span.
+
+>>> enable_profiling(True); reset_tree()
+>>> with span("outer"):
+...     for _ in range(3):
+...         with span("inner"):
+...             pass
+>>> (outer,) = tree()["children"]
+>>> outer["name"], outer["count"], [(c["name"], c["count"]) for c in outer["children"]]
+('outer', 1, [('inner', 3)])
+>>> enable_profiling(False); reset_tree()
+
+The cost model keeps tracing safe to leave on in production:
+
 * inside a trace, each span is one small object, two monotonic clock
   reads and one lock-guarded ring-buffer write (``tests/test_spans.py``
   pins the total below 3% of a ``bit-bu-csr`` decompose);
@@ -23,6 +54,9 @@ The cost model keeps this safe to leave on in production:
 The :class:`SpanRecorder` is process-global (:func:`get_recorder`); the
 server drains completed traces out of it into a
 :class:`repro.obs.store.TraceStore` for the ``/debug/traces`` plane.
+:class:`~repro.utils.stats.PhaseTimer` (the per-run sink every algorithm
+accepts) enters a span for each ``timer.time(...)`` block, so those
+phases appear in the tree and in request waterfalls too.
 """
 
 from __future__ import annotations
@@ -32,11 +66,14 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from contextvars import ContextVar
+from random import randbytes
 from typing import Any, Dict, List, Optional
 
-from repro.obs import phases, trace
+from repro.obs import trace
 
+_ENV_PROFILE = "REPRO_PROFILE"
 _ENV_SAMPLE = "REPRO_TRACE_SAMPLE"
 _ENV_BUFFER = "REPRO_TRACE_BUFFER"
 _ENV_SLOW_MS = "REPRO_TRACE_SLOW_MS"
@@ -48,8 +85,8 @@ _MAX_SPANS_PER_TRACE = 512
 
 
 def new_span_id() -> str:
-    """A fresh 8-hex-char span id."""
-    return os.urandom(4).hex()
+    """A fresh 8-hex-char span id (``random`` reseeds in forked children)."""
+    return randbytes(4).hex()
 
 
 class Span:
@@ -331,113 +368,196 @@ def configure(
     _RECORDER.configure(sample=sample, slow_s=slow_s)
 
 
-class _TraceState:
-    """Per-trace mutable cursor: the currently open span for parentage.
-
-    One instance per (context, trace id); spans of one trace open and
-    close strictly nested within a single logical flow (the request's
-    task plus executor hops via ``contextvars.copy_context``), so plain
-    attribute mutation is safe without a lock.
-    """
-
-    __slots__ = ("trace_id", "current")
-
-    def __init__(self, trace_id: str) -> None:
-        self.trace_id = trace_id
-        self.current: Optional[Span] = None
+# ------------------------------------------------------------ phase tree
 
 
-_STATE: ContextVar[Optional[_TraceState]] = ContextVar(
-    "repro_trace_state", default=None
+class _Node:
+    """One phase-tree node: the spans reached by one name path."""
+
+    __slots__ = ("name", "seconds", "count", "children")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.seconds = 0.0
+        self.count = 0
+        self.children: Dict[str, "_Node"] = {}
+
+    def child(self, name: str) -> "_Node":
+        node = self.children.get(name)
+        if node is None:
+            # setdefault is atomic, so racing threads share one node.
+            node = self.children.setdefault(name, _Node(name))
+        return node
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "seconds": self.seconds,
+            "count": self.count,
+            "children": [child.to_dict() for child in list(self.children.values())],
+        }
+
+
+_TREE_LOCK = threading.Lock()
+_ROOT = _Node("total")
+_profiling = os.environ.get(_ENV_PROFILE, "").strip().lower() in (
+    "1", "true", "yes", "on"
 )
 
 
-def _state_for(trace_id: str) -> _TraceState:
-    # The trace-id contextvar is the source of truth: a stale state left
-    # behind by a previous request on the same connection task is detected
-    # by trace-id mismatch and replaced.  The state object itself travels
-    # by reference through ``contextvars.copy_context`` (executor hops,
-    # coalescer flush tasks), so one trace's spans share one cursor.
-    state = _STATE.get()
-    if state is None or state.trace_id != trace_id:
-        state = _TraceState(trace_id)
-        _STATE.set(state)
-    return state
+def profiling() -> bool:
+    """Whether spans currently feed the phase tree."""
+    return _profiling
+
+
+def enable_profiling(on: bool = True) -> None:
+    """Turn the phase tree on (or off with ``enable_profiling(False)``)."""
+    global _profiling
+    _profiling = bool(on)
+
+
+def tree() -> dict:
+    """The phase tree as plain dicts (the root node is ``"total"``)."""
+    return _ROOT.to_dict()
+
+
+def reset_tree() -> None:
+    """Drop everything the phase tree recorded.
+
+    Spans open across the reset finish on the old tree, which nothing
+    reads any more.
+    """
+    global _ROOT
+    _ROOT = _Node("total")
+
+
+def render_tree(tree: dict, *, min_seconds: float = 0.0) -> str:
+    """Render a :func:`tree` dict as an indented table."""
+    lines: List[str] = []
+
+    def walk(node: dict, depth: int) -> None:
+        if depth >= 0:
+            if node["seconds"] < min_seconds and not node["children"]:
+                return
+            label = "  " * depth + str(node["name"])
+            count = int(node.get("count", 0))
+            suffix = f" x{count}" if count > 1 else ""
+            lines.append(f"{label:<44s} {node['seconds']:9.4f}s{suffix}")
+        for child in node.get("children", ()):
+            walk(child, depth + 1)
+
+    walk(tree, -1)
+    return "\n".join(lines) if lines else "(no phases recorded)"
+
+
+def leaf_seconds(tree: dict) -> float:
+    """Sum of leaf-node seconds — the tree's covered wall time."""
+    children = tree.get("children", ())
+    if not children:
+        return float(tree.get("seconds", 0.0))
+    return sum(leaf_seconds(child) for child in children)
+
+
+# ------------------------------------------------------------ the span
+
+
+class _SpanContext:
+    """Times one span: records it in a trace and/or adds it to the tree.
+
+    While open it is also its context's cursor (``_STATE``): the next
+    span entered in that context takes ``span`` as its parent span and
+    ``node`` as its parent node.  Leaving it puts the previous cursor
+    back, so a context copied into a thread or a task keeps the position
+    it was copied at and never moves its parent's.
+    """
+
+    __slots__ = ("_name", "_attrs", "trace_id", "span", "node", "_prev", "_start")
+
+    def __init__(
+        self, name: str, attrs: Dict[str, Any], trace_id: Optional[str]
+    ) -> None:
+        self._name = name
+        self._attrs = attrs
+        self.trace_id = trace_id
+
+    def __enter__(self) -> Optional[Span]:
+        prev = self._prev = _STATE.get()
+        node = None
+        if _profiling:
+            parent_node = prev.node if prev is not None else None
+            if parent_node is None:
+                parent_node = _ROOT
+            node = parent_node.child(self._name)
+        span = None
+        tid = self.trace_id
+        if tid is not None:
+            parent = prev.span if prev is not None and prev.trace_id == tid else None
+            span = Span(
+                tid,
+                self._name,
+                parent_id=parent.span_id if parent is not None else None,
+                attrs=self._attrs,
+            )
+        self.span = span
+        self.node = node
+        _STATE.set(self)
+        self._start = time.perf_counter()
+        return span
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        elapsed = time.perf_counter() - self._start
+        _STATE.set(self._prev)
+        if self.span is not None:
+            self.span.finish(error=exc)
+            _RECORDER.record(self.span)
+        node = self.node
+        if node is not None:
+            with _TREE_LOCK:
+                node.seconds += elapsed
+                node.count += 1
+        return False
+
+
+_STATE: ContextVar[Optional[_SpanContext]] = ContextVar(
+    "repro_span_cursor", default=None
+)
 
 
 def current_span() -> Optional[Span]:
     """The innermost open span of the current trace, if any."""
-    tid = trace.current_trace_id()
-    if tid is None:
+    cursor = _STATE.get()
+    if cursor is None or cursor.trace_id is None:
         return None
-    state = _STATE.get()
-    if state is None or state.trace_id != tid:
+    if cursor.trace_id != trace.current_trace_id():
         return None
-    return state.current
+    return cursor.span
 
 
-class _SpanContext:
-    """Context manager recording one span (and feeding the phase tree)."""
+def detach() -> None:
+    """Leave the current trace and tree path for the rest of this context.
 
-    __slots__ = ("_state", "_name", "_attrs", "_span", "_parent", "_phase", "_bridge")
+    For a background task created inside a request: the task copies the
+    request's context, so without this its spans would join a trace that
+    has already finished and nest under the request in the phase tree.
+    """
+    trace.set_trace_id(None)
+    _STATE.set(None)
 
-    def __init__(
-        self,
-        state: _TraceState,
-        name: str,
-        attrs: Dict[str, Any],
-        bridge_phases: bool = True,
-    ) -> None:
-        self._state = state
-        self._name = name
-        self._attrs = attrs
-        self._bridge = bridge_phases
 
-    def __enter__(self) -> Span:
-        self._phase = phases.phase(self._name) if self._bridge else phases._NOOP
-        self._phase.__enter__()
-        parent = self._state.current
-        self._parent = parent
-        self._span = Span(
-            self._state.trace_id,
-            self._name,
-            parent_id=parent.span_id if parent is not None else None,
-            attrs=self._attrs,
-        )
-        self._state.current = self._span
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._state.current = self._parent
-        self._span.finish(error=exc)
-        _RECORDER.record(self._span)
-        self._phase.__exit__(exc_type, exc, tb)
-        return False
+_NOOP = nullcontext()
 
 
 def span(name: str, **attrs: Any):
-    """A span context for the current trace.
+    """Time ``name`` in the current context.
 
-    Outside any trace — or with sampling hard-off (``sample <= 0``) —
-    this degrades to :func:`repro.obs.phases.phase`, i.e. a shared no-op
-    unless profiling is on: the always-on recorder costs a contextvar
-    read and a float compare on untraced paths.
+    Records a :class:`Span` inside a trace (unless sampling is hard off,
+    ``sample <= 0``) and adds to the phase tree while profiling is on;
+    with neither, returns one shared no-op.  Entering it yields the
+    :class:`Span` when one is recorded, else None.
     """
     tid = trace.current_trace_id()
     if tid is None or _RECORDER.sample <= 0.0:
-        return phases.phase(name)
-    return _SpanContext(_state_for(tid), name, attrs)
-
-
-def trace_span(name: str, **attrs: Any):
-    """A span context that never creates a phase-tree node.
-
-    For request-plumbing sites (coalescer windows, per-query ops) that
-    belong in waterfalls but would distort the aggregate phase tree's
-    established shape; outside a trace this is the shared no-op.
-    """
-    tid = trace.current_trace_id()
-    if tid is None or _RECORDER.sample <= 0.0:
-        return phases._NOOP
-    return _SpanContext(_state_for(tid), name, attrs, bridge_phases=False)
-
+        if not _profiling:
+            return _NOOP
+        tid = None
+    return _SpanContext(name, attrs, tid)

@@ -1,15 +1,11 @@
-"""Lightweight request tracing: trace ids and span contexts.
+"""Lightweight request tracing: trace ids.
 
 One trace id is minted (or adopted from an ``X-Trace-Id`` header) per
 HTTP request and stored in a :mod:`contextvars` variable, so everything
 the request touches — coalescer windows, engine calls, log records —
 can correlate without threading an argument through every signature.
-
-:func:`span` is the legacy entry point; it now delegates to
-:mod:`repro.obs.spans`, which records a real :class:`~repro.obs.spans.Span`
-when a trace is active (and still feeds the phase tree when profiling
-is enabled) but stays a shared no-op on untraced paths — tracing never
-taxes the hot path.
+:func:`repro.obs.spans.span` records a real span only while a trace id
+is set.
 """
 
 from __future__ import annotations
@@ -52,13 +48,3 @@ def trace_context(trace_id: Optional[str] = None) -> Iterator[str]:
     finally:
         _TRACE_ID.reset(token)
 
-
-def span(name: str, **attrs):
-    """A span context: records a real span inside a trace, else a no-op.
-
-    Import is deferred — :mod:`repro.obs.spans` imports this module for
-    the trace-id contextvar, so a top-level import would be circular.
-    """
-    from repro.obs import spans as _spans
-
-    return _spans.span(name, **attrs)

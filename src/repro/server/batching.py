@@ -152,21 +152,23 @@ class QueryCoalescer:
             self._merged += 1
             # The fold span measures how long this rider waited on the
             # shared in-flight computation it merged onto.
-            with obs_spans.trace_span("coalescer fold", merged=True, queries=len(queries)):
+            with obs_spans.span("coalescer fold", merged=True, queries=len(queries)):
                 return await asyncio.shield(shared)
 
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        pending = self._pending.get(dataset)
-        if pending is None:
-            pending = self._pending[dataset] = _Pending()
-        pending.items.append((key[1], queries, future))
-        if len(pending.items) >= self.max_batch:
-            self._flush_now(dataset, runner)
-        elif pending.task is None:
-            pending.task = loop.create_task(self._window_flush(dataset, runner))
-        with obs_spans.trace_span("coalescer fold", merged=False, queries=len(queries)):
+        # The fold span is open before a flush task is created, so the
+        # task's copied context nests its flush span under this fold.
+        with obs_spans.span("coalescer fold", merged=False, queries=len(queries)):
+            loop = asyncio.get_running_loop()
+            future: asyncio.Future = loop.create_future()
+            self._inflight[key] = future
+            pending = self._pending.get(dataset)
+            if pending is None:
+                pending = self._pending[dataset] = _Pending()
+            pending.items.append((key[1], queries, future))
+            if len(pending.items) >= self.max_batch:
+                self._flush_now(dataset, runner)
+            elif pending.task is None:
+                pending.task = loop.create_task(self._window_flush(dataset, runner))
             return await asyncio.shield(future)
 
     def stats(self) -> Dict[str, object]:
@@ -213,10 +215,10 @@ class QueryCoalescer:
         self._flushes += 1
         self._queries_flushed += len(flat)
         try:
-            # The flush task's context was copied from the submission that
-            # opened the window, so this span lands in the opener's trace
-            # (nested under its fold span via the shared state cursor).
-            with obs_spans.trace_span(
+            # The flush task's context was copied inside the fold span of
+            # the submission that opened (or filled) the window, so this
+            # span lands in that trace, nested under that fold.
+            with obs_spans.span(
                 "coalescer flush", submissions=len(items), queries=len(flat)
             ):
                 results, version = await runner(flat)

@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
-from repro.obs import phases as obs_phases
 from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
 from repro.obs.store import TraceStore
@@ -513,15 +512,13 @@ class BitrussServer:
         traced = endpoint != "metrics" and not endpoint.startswith("debug/")
         root_ctx = root_span = None
         if traced:
-            root_ctx = obs_spans.trace_span(
+            root_ctx = obs_spans.span(
                 f"{method} {urlsplit(target).path}",
                 endpoint=endpoint,
                 dataset=dataset,
                 method=method,
             )
-            entered = root_ctx.__enter__()
-            if isinstance(entered, obs_spans.Span):
-                root_span = entered
+            root_span = root_ctx.__enter__()
         start = time.perf_counter()
         status = 200
         ctype = "application/json"
@@ -1086,8 +1083,8 @@ class BitrussServer:
             payload["coalescer"] = self.coalescer.stats()
         if self.updates is not None:
             payload["updates"] = self.updates.stats()
-        if obs_phases.enabled():
-            payload["profile"] = obs_phases.tree()
+        if obs_spans.profiling():
+            payload["profile"] = obs_spans.tree()
         return payload
 
     def metrics_prometheus(self, *, openmetrics: bool = False) -> str:

@@ -42,14 +42,14 @@ reseeded from the fresh φ so incremental patching resumes.
 from __future__ import annotations
 
 import asyncio
-import time
+import contextvars
 from concurrent.futures import Executor
 from typing import Dict, List, Optional, Sequence
 
 from repro.maintenance.dynamic import DynamicBipartiteGraph
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
-from repro.obs import phases as obs_phases
+from repro.obs import spans as obs_spans
 from repro.server.registry import ArtifactRegistry
 from repro.service.artifacts import DecompositionArtifact
 from repro.service.engine import QueryEngine
@@ -379,43 +379,42 @@ class UpdateManager:
         per op.  If a deployment outgrows that, this is the seam to move
         onto the executor behind a per-dataset publish lock.
         """
-        publish_start = time.perf_counter()
-        entry = self.registry.get(name)
-        dynamic = self._dynamics[name]
-        tracker = dynamic.tracker
-        assert tracker is not None and not tracker.dirty
-        graph, phi = tracker.phi_snapshot()
-        old = entry.artifact
-        artifact = DecompositionArtifact(
-            graph=graph,
-            phi=phi,
-            algorithm=old.algorithm,
-            meta={
-                **{k: v for k, v in old.meta.items() if k != "patches"},
-                "patches": int(old.meta.get("patches", 0) or 0) + 1,
-            },
-        )
-        old_engine = entry.engine
-        engine = QueryEngine(
-            artifact, cache_size=entry.cache_size, allow_stale=True
-        )
-        if outcome is not None and outcome.reports:
-            engine.adopt_cache(
-                old_engine,
-                max_affected_k=outcome.max_affected_k,
-                affected_gids=DynamicBipartiteGraph._affected_gids(
-                    graph, outcome.reports
-                ),
+        with obs_spans.span("publish patch"):
+            entry = self.registry.get(name)
+            dynamic = self._dynamics[name]
+            tracker = dynamic.tracker
+            assert tracker is not None and not tracker.dirty
+            graph, phi = tracker.phi_snapshot()
+            old = entry.artifact
+            artifact = DecompositionArtifact(
+                graph=graph,
+                phi=phi,
+                algorithm=old.algorithm,
+                meta={
+                    **{k: v for k, v in old.meta.items() if k != "patches"},
+                    "patches": int(old.meta.get("patches", 0) or 0) + 1,
+                },
             )
-        self.registry.swap(name, artifact, engine=engine)
-        dynamic.unregister_artifact(old_engine)
-        dynamic.register_artifact(engine)
-        # The mirror advanced past whatever snapshot an in-flight rebuild
-        # took: bump the generation so that rebuild's staleness check sees
-        # the patch and marks its (older) artifact stale on landing.
-        self._gen[name] += 1
-        self._patches[name] += 1
-        obs_phases.add("publish patch", time.perf_counter() - publish_start)
+            old_engine = entry.engine
+            engine = QueryEngine(
+                artifact, cache_size=entry.cache_size, allow_stale=True
+            )
+            if outcome is not None and outcome.reports:
+                engine.adopt_cache(
+                    old_engine,
+                    max_affected_k=outcome.max_affected_k,
+                    affected_gids=DynamicBipartiteGraph._affected_gids(
+                        graph, outcome.reports
+                    ),
+                )
+            self.registry.swap(name, artifact, engine=engine)
+            dynamic.unregister_artifact(old_engine)
+            dynamic.register_artifact(engine)
+            # The mirror advanced past whatever snapshot an in-flight rebuild
+            # took: bump the generation so that rebuild's staleness check sees
+            # the patch and marks its (older) artifact stale on landing.
+            self._gen[name] += 1
+            self._patches[name] += 1
         obs_metrics.get_registry().counter(
             "repro_incremental_patch_publishes_total",
             "Patched artifacts published without a rebuild.",
@@ -431,6 +430,9 @@ class UpdateManager:
 
     async def _refresh_loop(self, name: str) -> None:
         """Debounce, rebuild, and re-run if mutations landed meanwhile."""
+        # The task copied the context of the write request that scheduled
+        # it; leave that request's trace, which finishes without waiting.
+        obs_spans.detach()
         try:
             while True:
                 gen = self._gen[name]
@@ -474,9 +476,12 @@ class UpdateManager:
             return artifact, engine
 
         loop = asyncio.get_running_loop()
-        rebuild_start = time.perf_counter()
-        artifact, engine = await loop.run_in_executor(self._executor, _build)
-        obs_phases.add("rebuild", time.perf_counter() - rebuild_start)
+        with obs_spans.span("rebuild"):
+            # Copied inside the span, so the build's own spans nest under it.
+            ctx = contextvars.copy_context()
+            artifact, engine = await loop.run_in_executor(
+                self._executor, ctx.run, _build
+            )
         # Back on the loop thread: swap atomically and rewire staleness
         # subscriptions to the new pair.  The outgoing engine is read *now*
         # — an incremental patch may have swapped it while the build ran,

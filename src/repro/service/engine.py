@@ -485,7 +485,7 @@ class QueryEngine:
                     )
                 if op == "hierarchy_path" and "edge" in params:
                     params["edge"] = tuple(params["edge"])  # JSON lists arrive
-                with obs_spans.trace_span(f"query:{op}"):
+                with obs_spans.span(f"query:{op}"):
                     results.append(dispatch[op](**params))
         return results
 

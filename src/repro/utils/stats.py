@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import bisect
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,9 +106,19 @@ class PhaseTimer:
         self._elapsed: Dict[str, float] = {}
         self._order: List[str] = []
 
-    def time(self, phase: str) -> "_PhaseContext":
-        """Context manager accumulating into ``phase``."""
-        return _PhaseContext(self, phase)
+    @contextmanager
+    def time(self, phase: str) -> Iterator[None]:
+        """Context manager accumulating into ``phase``.
+
+        The block is also a :func:`repro.obs.spans.span`, so it shows in
+        the phase tree while profiling and in the trace it runs in.
+        """
+        start = time.perf_counter()
+        try:
+            with _obs_spans.span(phase):
+                yield
+        finally:
+            self.add(phase, time.perf_counter() - start)
 
     def add(self, phase: str, seconds: float) -> None:
         """Directly add ``seconds`` to ``phase``."""
@@ -132,30 +143,6 @@ class PhaseTimer:
     def total(self) -> float:
         """Sum over all phases."""
         return sum(self._elapsed.values())
-
-
-class _PhaseContext:
-    def __init__(self, timer: PhaseTimer, phase: str) -> None:
-        self._timer = timer
-        self._phase = phase
-        self._start = 0.0
-        self._span = None
-
-    def __enter__(self) -> "_PhaseContext":
-        # Every timer.time(...) site also feeds the structured phase
-        # profiler (when enabled) and the span recorder (when inside a
-        # trace), so instrumented algorithms show up in the profile tree
-        # and in request waterfalls without duplicate call sites.
-        self._span = _obs_spans.span(self._phase)
-        self._span.__enter__()
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._timer.add(self._phase, time.perf_counter() - self._start)
-        if self._span is not None:
-            self._span.__exit__(exc_type, exc, tb)
-            self._span = None
 
 
 @dataclass

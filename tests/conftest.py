@@ -66,3 +66,13 @@ def assert_phi_equal(phi_a, phi_b, context: str = "") -> None:
             f"bitruss numbers differ {context}: first diffs at edges "
             f"{diff.tolist()} ({a[diff].tolist()} vs {b[diff].tolist()})"
         )
+
+
+def tree_paths(node: dict, prefix: tuple = ()) -> dict:
+    """{name path: count} for every node under a phase-tree ``node``."""
+    paths = {}
+    for child in node["children"]:
+        path = prefix + (child["name"],)
+        paths[path] = child["count"]
+        paths.update(tree_paths(child, path))
+    return paths

@@ -1,11 +1,11 @@
 """repro.obs: metrics, phase profiling, tracing, logging, and their wiring.
 
 Covers the unified observability layer end to end: the metric primitives
-and their Prometheus exposition (pinned by a golden file), the phase
-profiler (including the no-op cost contract on the disabled path), trace
-propagation through the coalescer and across pool worker processes, the
-server's content-negotiated ``/metrics``, the slow-query log, and the
-CLI's ``--profile``/``--json``/``--quiet`` surfaces.
+and their Prometheus exposition (pinned by a golden file), the phase tree
+that spans build (including the no-op cost contract on the disabled
+path), trace propagation through the coalescer and across pool worker
+processes, the server's content-negotiated ``/metrics``, the slow-query
+log, and the CLI's ``--profile``/``--json``/``--quiet`` surfaces.
 """
 
 import asyncio
@@ -23,11 +23,12 @@ import pytest
 from repro.graph.generators import erdos_renyi_bipartite, paper_figure4_graph
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
-from repro.obs import phases as obs_phases
+from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.server import ArtifactRegistry, BitrussServer, QueryCoalescer
 from repro.service import build_artifact
+from tests.conftest import tree_paths
 
 GOLDEN = Path(__file__).parent / "data" / "obs_prometheus_golden.txt"
 
@@ -39,12 +40,12 @@ def run(coro):
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
     """Every test starts and ends with profiling off and empty registries."""
-    obs_phases.enable(False)
-    obs_phases.reset()
+    obs_spans.enable_profiling(False)
+    obs_spans.reset_tree()
     obs_metrics.reset_registry()
     yield
-    obs_phases.enable(False)
-    obs_phases.reset()
+    obs_spans.enable_profiling(False)
+    obs_spans.reset_tree()
     obs_metrics.reset_registry()
     obs_log.configure(quiet=False)
 
@@ -173,57 +174,65 @@ def parse_prometheus(text: str) -> dict:
 
 
 class TestPhases:
+    """The phase tree that spans build while profiling is on."""
+
     def test_disabled_phase_is_shared_noop(self):
-        assert obs_phases.phase("a") is obs_phases.phase("b")
+        assert obs_spans.span("a") is obs_spans.span("b")
 
     def test_enabled_builds_nested_tree(self):
-        obs_phases.enable(True)
-        with obs_phases.phase("outer"):
-            with obs_phases.phase("inner"):
+        obs_spans.enable_profiling(True)
+        with obs_spans.span("outer"):
+            with obs_spans.span("inner"):
                 pass
-            with obs_phases.phase("inner"):
+            with obs_spans.span("inner"):
                 pass
-        tree = obs_phases.tree()
+        tree = obs_spans.tree()
         (outer,) = tree["children"]
         assert outer["name"] == "outer" and outer["count"] == 1
         (inner,) = outer["children"]
         assert inner["name"] == "inner" and inner["count"] == 2
         assert outer["seconds"] >= inner["seconds"] >= 0.0
 
-    def test_add_and_leaf_seconds(self):
-        obs_phases.enable(True)
-        with obs_phases.phase("parent"):
-            obs_phases.add("leaf1", 0.25)
-            obs_phases.add("leaf2", 0.5, count=3)
-        tree = obs_phases.tree()
-        assert obs_phases.leaf_seconds(tree) == pytest.approx(0.75)
+    def test_leaf_seconds_sums_leaves(self):
+        def node(name, seconds, children=()):
+            return {"name": name, "seconds": seconds, "count": 1,
+                    "children": list(children)}
+
+        tree = node("total", 0.0, [
+            node("parent", 1.0, [node("leaf1", 0.25), node("leaf2", 0.5)]),
+            node("leaf3", 0.125),
+        ])
+        assert obs_spans.leaf_seconds(tree) == pytest.approx(0.875)
 
     def test_render_tree_marks_repeat_counts(self):
-        obs_phases.enable(True)
+        obs_spans.enable_profiling(True)
         for _ in range(3):
-            with obs_phases.phase("step"):
+            with obs_spans.span("step"):
                 pass
-        rendered = obs_phases.render_tree(obs_phases.tree())
+        rendered = obs_spans.render_tree(obs_spans.tree())
         assert "step" in rendered and "x3" in rendered
-        assert obs_phases.render_tree({"name": "total", "seconds": 0.0,
-                                       "count": 0, "children": []}) == (
+        assert obs_spans.render_tree({"name": "total", "seconds": 0.0,
+                                      "count": 0, "children": []}) == (
             "(no phases recorded)"
         )
 
     def test_phase_timer_bridge_feeds_profiler(self):
         from repro.utils.stats import PhaseTimer
 
-        obs_phases.enable(True)
+        obs_spans.enable_profiling(True)
         timer = PhaseTimer()
         with timer.time("bridged"):
-            pass
-        assert [c["name"] for c in obs_phases.tree()["children"]] == ["bridged"]
+            with obs_spans.span("inside"):
+                pass
+        (bridged,) = obs_spans.tree()["children"]
+        assert bridged["name"] == "bridged" and bridged["count"] == 1
+        assert [c["name"] for c in bridged["children"]] == ["inside"]
         assert timer.elapsed("bridged") >= 0.0 and "bridged" in timer.phases()
 
     def test_env_flag_enables_profiling(self):
         script = (
-            "from repro.obs import phases; "
-            "import sys; sys.exit(0 if phases.enabled() else 1)"
+            "from repro.obs import spans; "
+            "import sys; sys.exit(0 if spans.profiling() else 1)"
         )
         env_src = {"PYTHONPATH": "src", "REPRO_PROFILE": "1"}
         proc = subprocess.run(
@@ -242,10 +251,11 @@ class TestPhases:
     def test_noop_overhead_under_two_percent_on_bit_bu_csr(self, monkeypatch):
         """Disabled-path contract: instrumentation costs < 2% of runtime.
 
-        Deterministic form of the acceptance bar: count every phase()
-        entry a bit-bu-csr run makes, measure the per-call cost of the
-        disabled path directly, and compare their product against the
-        run's wall time (no noisy A/B of two full runs).
+        Deterministic form of the acceptance bar: count every span()
+        entry a bit-bu-csr run makes (every instrumented site calls it
+        through the module), measure the per-call cost of the disabled
+        path directly, and compare their product against the run's wall
+        time (no noisy A/B of two full runs).
         """
         from repro.core.bit_bu_batch import bit_bu_csr
 
@@ -253,13 +263,13 @@ class TestPhases:
         bit_bu_csr(graph)  # warm caches (sorted CSR, priorities)
 
         calls = {"n": 0}
-        real_phase = obs_phases.phase
+        real_span = obs_spans.span
 
-        def counting_phase(name):
+        def counting_span(name, **attrs):
             calls["n"] += 1
-            return real_phase(name)
+            return real_span(name, **attrs)
 
-        monkeypatch.setattr(obs_phases, "phase", counting_phase)
+        monkeypatch.setattr(obs_spans, "span", counting_span)
         start = time.perf_counter()
         bit_bu_csr(graph)
         wall = time.perf_counter() - start
@@ -268,14 +278,14 @@ class TestPhases:
         reps = 100_000
         start = time.perf_counter()
         for _ in range(reps):
-            with obs_phases.phase("x"):
+            with obs_spans.span("x"):
                 pass
         per_call = (time.perf_counter() - start) / reps
 
         overhead = calls["n"] * per_call
         assert calls["n"] > 0
         assert overhead < 0.02 * wall, (
-            f"{calls['n']} phase() calls x {per_call * 1e9:.0f} ns "
+            f"{calls['n']} span() calls x {per_call * 1e9:.0f} ns "
             f"= {overhead * 1e3:.3f} ms vs {wall * 1e3:.1f} ms wall"
         )
 
@@ -563,7 +573,7 @@ class TestServerObservability:
             async with make_server(fig4_artifact) as server:
                 _, _, body = await raw_http(server.port, "GET", "/metrics")
                 assert "profile" not in json.loads(body)
-                obs_phases.enable(True)
+                obs_spans.enable_profiling(True)
                 await raw_http(server.port, "GET", "/fig4/stats")
                 _, _, body = await raw_http(server.port, "GET", "/metrics")
                 payload = json.loads(body)
@@ -572,7 +582,86 @@ class TestServerObservability:
         run(scenario())
 
 
+    def test_profile_tree_nests_requests_down_to_queries(self, fig4_artifact):
+        """Concurrent requests: every engine batch sits under the request
+        whose fold opened its flush, and the tree counts every flush once."""
+        obs_spans.enable_profiling(True)
+        targets = [
+            "/fig4/stats",
+            "/fig4/histogram",
+            "/fig4/max_k?upper=0",
+            "/fig4/community?k=1&upper=0",
+        ] * 4
+
+        async def scenario():
+            async with make_server(fig4_artifact) as server:
+                await asyncio.gather(
+                    *(raw_http(server.port, "GET", t) for t in targets)
+                )
+                _, _, body = await raw_http(server.port, "GET", "/metrics")
+                return json.loads(body)
+
+        payload = run(scenario())
+        batches = 0
+
+        def walk(node, path):
+            nonlocal batches
+            for child in node["children"]:
+                here = path + (child["name"],)
+                if child["name"] == "engine batch":
+                    assert here[0].startswith("GET /fig4/"), here
+                    assert here[1:] == (
+                        "coalescer fold", "coalescer flush", "engine batch"
+                    ), here
+                    assert child["children"] and all(
+                        q["name"].startswith("query:") for q in child["children"]
+                    )
+                    batches += child["count"]
+                walk(child, here)
+
+        walk(payload["profile"], ())
+        assert batches == payload["coalescer"]["flushes"] > 0
+
+
 # ---------------------------------------------------------------------- CLI
+
+
+#: `decompose --dataset github --profile` tree per algorithm: {name path: count}.
+PROFILE_SHAPES = {
+    "bit-bu-csr": {
+        ("load graph",): 1,
+        ("index construction",): 1,
+        ("index construction", "bloom discovery"): 1,
+        ("index construction", "assemble"): 1,
+        ("peeling",): 1,
+        ("peeling", "frontier refill"): 1,
+        ("peeling", "batch updates"): 240,
+        ("hierarchy",): 1,
+    },
+    "bit-bu++": {
+        ("load graph",): 1,
+        ("index construction",): 1,
+        ("peeling",): 1,
+        ("hierarchy",): 1,
+    },
+    "bit-pc": {
+        ("load graph",): 1,
+        ("counting",): 1,
+        ("counting", "butterfly counting"): 1,
+        ("candidate extraction",): 47,
+        ("candidate extraction", "butterfly counting"): 188,
+        ("index construction",): 47,
+        ("peeling",): 47,
+        ("hierarchy",): 1,
+    },
+    "bit-bs": {
+        ("load graph",): 1,
+        ("counting",): 1,
+        ("counting", "butterfly counting"): 1,
+        ("peeling",): 1,
+        ("hierarchy",): 1,
+    },
+}
 
 
 class TestCliObservability:
@@ -589,7 +678,7 @@ class TestCliObservability:
         names = [c["name"] for c in profile["tree"]["children"]]
         assert "load graph" in names
         assert "peeling" in names
-        leaves = obs_phases.leaf_seconds(profile["tree"])
+        leaves = obs_spans.leaf_seconds(profile["tree"])
         assert 0 < leaves <= profile["wall_seconds"] * 1.05
 
     def test_decompose_narrates_without_quiet(self, capsys):
@@ -622,7 +711,7 @@ class TestCliObservability:
         payload = capsys.readouterr().out
         saved = tmp_path / "run.json"
         saved.write_text(payload)
-        obs_phases.enable(False)
+        obs_spans.enable_profiling(False)
 
         assert main(["stats", "--profile", str(saved)]) == 0
         out = capsys.readouterr().out
@@ -637,3 +726,19 @@ class TestCliObservability:
         saved.write_text(json.dumps({"max_k": 4}))
         with pytest.raises(SystemExit, match="no phase tree"):
             main(["stats", "--profile", str(saved)])
+
+    @pytest.mark.parametrize("algorithm", sorted(PROFILE_SHAPES))
+    def test_decompose_profile_tree_shape(self, capsys, algorithm):
+        """The paper's phase split on github, node paths and counts pinned."""
+        from repro.cli import main
+
+        assert main([
+            "decompose", "--dataset", "github", "--algorithm", algorithm,
+            "--profile", "--json", "--quiet",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        shape = PROFILE_SHAPES[algorithm]
+        assert tree_paths(payload["profile"]["tree"]) == shape
+        assert set(payload["timings"]) == {
+            path[0] for path in shape if path[0] not in ("load graph", "hierarchy")
+        }

@@ -561,6 +561,40 @@ class TestUpdatesAndHotSwap:
 
         run(scenario())
 
+    def test_write_burst_leaves_no_open_trace(self):
+        """A rebuild scheduled by a write request runs outside its trace,
+        so the request's finished trace is never reopened."""
+        from repro.obs import spans as obs_spans
+
+        recorder = obs_spans.get_recorder()
+        recorder.reset()
+
+        async def scenario():
+            artifact = build_artifact(paper_figure4_graph(), algorithm=ALGORITHM)
+            server = make_server(
+                {"fig4": artifact},
+                mutable={"fig4"},
+                debounce=0.01,
+                incremental=False,
+            )
+            async with server:
+                for op in ["insert", "delete", "insert", "delete"]:
+                    status, body = await http(
+                        server.port,
+                        "POST",
+                        "/fig4/edges",
+                        {"ops": [{"op": op, "u": 0, "v": 3}]},
+                    )
+                    assert status == 200 and body["rebuild"] == "scheduled"
+                    await asyncio.sleep(0.02)  # let some rebuilds land
+                await server.updates.wait_idle()
+                return server.updates.stats()["fig4"]
+
+        stats = run(scenario())
+        assert stats["rebuilds"] >= 1
+        assert recorder.stats()["open_traces"] == 0
+        recorder.reset()
+
     def test_hot_swap_drops_no_inflight_requests(self):
         """Requests leased on the old engine finish correctly while the
         swap lands; later requests see the new version."""

@@ -22,13 +22,13 @@ import pytest
 
 from repro.graph.generators import erdos_renyi_bipartite, paper_figure4_graph
 from repro.obs import metrics as obs_metrics
-from repro.obs import phases as obs_phases
 from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
 from repro.obs.spans import Span, SpanRecorder
 from repro.obs.store import TraceRecord, TraceStore
 from repro.server import ArtifactRegistry, BitrussServer
 from repro.service import QueryEngine, build_artifact
+from tests.conftest import tree_paths
 
 
 def run(coro):
@@ -42,14 +42,14 @@ def _clean_tracing_state():
     saved = (recorder.sample, recorder.slow_s)
     recorder.reset()
     recorder.configure(sample=1.0, slow_s=0.25)
-    obs_phases.enable(False)
-    obs_phases.reset()
+    obs_spans.enable_profiling(False)
+    obs_spans.reset_tree()
     obs_metrics.reset_registry()
     yield
     recorder.reset()
     recorder.configure(sample=saved[0], slow_s=saved[1])
-    obs_phases.enable(False)
-    obs_phases.reset()
+    obs_spans.enable_profiling(False)
+    obs_spans.reset_tree()
     obs_metrics.reset_registry()
 
 
@@ -243,13 +243,11 @@ class TestTraceContextPrimitives:
 class TestSpanApi:
     def test_outside_trace_is_shared_noop(self):
         assert obs_spans.span("a") is obs_spans.span("b")
-        assert obs_spans.trace_span("a") is obs_spans.trace_span("b")
 
     def test_sample_zero_disables_even_inside_trace(self):
         obs_spans.configure(sample=0.0)
         with obs_trace.trace_context("abc123"):
             assert obs_spans.span("a") is obs_spans.span("b")
-            assert obs_spans.trace_span("a") is obs_spans.trace_span("b")
         assert obs_spans.get_recorder().stats()["recorded"] == 0
 
     def test_nested_spans_are_parent_linked(self):
@@ -277,14 +275,19 @@ class TestSpanApi:
         assert "KeyError" in by_name["bad"].error
         assert by_name["root"].status == "ok"
 
-    def test_span_feeds_phase_tree_but_trace_span_does_not(self):
-        obs_phases.enable(True)
+    def test_traced_span_feeds_waterfall_and_tree(self):
+        obs_spans.enable_profiling(True)
         with obs_trace.trace_context("abc123"):
             with obs_spans.span("algo step"):
-                with obs_spans.trace_span("plumbing"):
+                with obs_spans.span("plumbing"):
                     pass
-        names = [c["name"] for c in obs_phases.tree()["children"]]
-        assert names == ["algo step"]  # no phase node for the plumbing span
+        by_name = {s.name: s for s in obs_spans.get_recorder().finish_trace("abc123")}
+        assert by_name["plumbing"].parent_id == by_name["algo step"].span_id
+        (step,) = obs_spans.tree()["children"]
+        assert step["name"] == "algo step" and step["count"] == 1
+        assert [(c["name"], c["count"]) for c in step["children"]] == [
+            ("plumbing", 1)
+        ]
 
     def test_env_knobs_shape_the_recorder(self):
         script = (
@@ -305,6 +308,80 @@ class TestSpanApi:
             cwd=str(Path(__file__).parent.parent),
         )
         assert proc.returncode == 0
+
+
+class TestSpanCursor:
+    """Each thread and task nests its spans under its own open span."""
+
+    def test_threads_build_one_exact_tree(self):
+        obs_spans.enable_profiling(True)
+        threads, per_thread = 4, 2000
+        barrier = threading.Barrier(threads)
+
+        def hammer(worker):
+            barrier.wait()
+            for _ in range(per_thread):
+                with obs_spans.span("engine batch"):
+                    with obs_spans.span(f"query:{worker}"):
+                        pass
+
+        pool = [threading.Thread(target=hammer, args=(w,)) for w in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-span as often as possible
+        try:
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+
+        expected = {("engine batch",): threads * per_thread}
+        for w in range(threads):
+            expected[("engine batch", f"query:{w}")] = per_thread
+        assert tree_paths(obs_spans.tree()) == expected
+        # Every span closed: a new one lands at the root again.
+        with obs_spans.span("after"):
+            pass
+        assert ("after",) in tree_paths(obs_spans.tree())
+
+    def test_tasks_interleaving_across_await_nest_correctly(self):
+        obs_spans.enable_profiling(True)
+
+        async def worker(name, mine, theirs):
+            with obs_spans.span(name):
+                mine.set()
+                await theirs.wait()  # the other task opens its span meanwhile
+                for _ in range(3):
+                    with obs_spans.span("step", task=name):
+                        await asyncio.sleep(0)
+
+        async def scenario():
+            with obs_trace.trace_context("a5a5a5a5"):
+                with obs_spans.span("outer"):
+                    first, second = asyncio.Event(), asyncio.Event()
+                    await asyncio.gather(
+                        worker("task:0", first, second),
+                        worker("task:1", second, first),
+                    )
+
+        run(scenario())
+        assert tree_paths(obs_spans.tree()) == {
+            ("outer",): 1,
+            ("outer", "task:0"): 1,
+            ("outer", "task:0", "step"): 3,
+            ("outer", "task:1"): 1,
+            ("outer", "task:1", "step"): 3,
+        }
+        spans = obs_spans.get_recorder().finish_trace("a5a5a5a5")
+        by_id = {s.span_id: s for s in spans}
+        for s in spans:
+            if s.name == "step":
+                assert by_id[s.parent_id].name == s.attrs["task"]
+            elif s.name.startswith("task:"):
+                assert by_id[s.parent_id].name == "outer"
+        assert [s.name for s in spans].count("step") == 6
 
 
 class TestHierarchyBuildSpan:
