@@ -40,7 +40,8 @@ def count_per_edge(
     """Butterfly support of every edge, by vertex-priority wedge processing.
 
     Returns an ``int64`` array indexed by edge id.  ``priorities`` may be
-    supplied to reuse a precomputed Definition 7 ranking.
+    supplied to reuse a precomputed Definition 7 ranking; its values must
+    be distinct (a tied ranking raises :class:`ValueError`).
 
     >>> from repro.graph.generators import paper_figure4_graph
     >>> g = paper_figure4_graph()
@@ -50,13 +51,9 @@ def count_per_edge(
     True
     """
     prio = priorities if priorities is not None else graph.priorities()
-    indptr, neighbors, edge_ids, row_prios = graph.csr_gid_sorted_with_prios(
-        priorities
-    )
+    arrays = graph.csr_gid_sorted_with_prios(priorities)
     with obs_spans.span("butterfly counting"):
-        return support_on_arrays(
-            indptr, neighbors, edge_ids, row_prios, prio, graph.num_edges
-        )
+        return support_on_arrays(*arrays, prio, graph.num_edges)
 
 
 def count_butterflies_total(

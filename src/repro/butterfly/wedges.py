@@ -12,9 +12,12 @@ APOCS 2020) with no Python loop per vertex:
 
 1. A key ``row * P + prio`` over all ``2m`` slots of the priority-sorted
    gid CSR (:meth:`~repro.graph.bipartite.BipartiteGraph.csr_gid_sorted`)
-   is globally non-decreasing, so ``np.searchsorted`` calls over the whole
-   array give every start's start→middle cut and every start-middle slot's
-   middle→end cut.
+   is globally non-decreasing, so one ``np.searchsorted`` over the whole
+   array gives every start's start→middle cut.  The middle→end cut of a
+   start-middle slot ``(u, v)`` is ``u``'s position in ``v``'s
+   priority-sorted row, read off the slot's twin (the other slot of the
+   same edge, after the reverse-edge offsets of Kabir & Madduri, HiPC
+   2017); priorities must be distinct for that position to be the cut.
 2. The start-middle slots are split into chunks of at most
    :data:`WEDGE_BUDGET` slots, and each chunk into blocks of at most
    :data:`WEDGE_BUDGET` wedges, both by prefix sum and both aligned to
@@ -40,8 +43,7 @@ consume :func:`bloom_blocks`.
 >>> from repro.butterfly.counting import count_per_edge_naive
 >>> from repro.graph.generators import paper_figure4_graph
 >>> g = paper_figure4_graph()
->>> indptr, neighbors, edge_ids, row_prios = g.csr_gid_sorted_with_prios()
->>> support = support_on_arrays(indptr, neighbors, edge_ids, row_prios,
+>>> support = support_on_arrays(*g.csr_gid_sorted_with_prios(),
 ...                             g.priorities(), g.num_edges)
 >>> bool((support == count_per_edge_naive(g)).all())
 True
@@ -52,6 +54,8 @@ from __future__ import annotations
 from typing import Iterator, List, Tuple
 
 import numpy as np
+
+from repro.utils.priority import compact_ranking, row_priority_keys
 
 #: Cap on the start-middle slots of one chunk and on the wedges of one block.
 #: Small on purpose: 2^13 already amortizes the per-block numpy calls (a
@@ -71,35 +75,39 @@ def bloom_blocks(
     neighbors: np.ndarray,
     edge_ids: np.ndarray,
     row_prios: np.ndarray,
+    twin: np.ndarray,
     prio: np.ndarray,
 ) -> Iterator[BloomBlock]:
     """Every maximal priority-obeyed bloom of the graph.
 
-    Works on the raw priority-sorted gid-CSR arrays
+    Works on the raw priority-sorted gid-CSR arrays and slot twins
     (``csr_gid_sorted_with_prios``) plus the per-vertex priorities.
     Yields one :data:`BloomBlock` per non-empty block of at most
     :data:`WEDGE_BUDGET` wedges; blocks come in ascending start order.
+
+    Raises
+    ------
+    ValueError
+        If two vertices share a priority: Definition 7 is a strict order,
+        and the middle→end cut below is exact only for distinct ranks.
     """
     n = len(indptr) - 1
     if n == 0:
         return
     prio = np.asarray(prio)
-    if not np.issubdtype(prio.dtype, np.integer) or np.ptp(prio) >= n:
-        # Only the order of priorities matters: rank them densely, so that
-        # row * span + prio below cannot overflow.
-        prio = np.unique(prio, return_inverse=True)[1]
-        row_prios = prio[neighbors]
-    base = int(prio.min())
-    span = int(prio.max()) - base + 1
+    ranking = compact_ranking(prio)
+    if ranking is not prio:
+        row_prios = ranking[neighbors]
+    base = int(ranking.min())
+    span = int(ranking.max()) - base + 1
+    if np.bincount(ranking - base, minlength=n).max() > 1:
+        raise ValueError(
+            "vertex priorities must be distinct (Definition 7 is a strict order)"
+        )
 
-    # key[slot] = row * span + prio: non-decreasing over the whole CSR, so
+    # key[slot] = row * span + rank: non-decreasing over the whole CSR, so
     # "slots of row r with priority < p" ends at searchsorted(key, r*span+p).
-    # (Built in place: one row-start histogram, prefix-summed.)
-    key = np.bincount(indptr[1:n], minlength=len(neighbors) + 1)[:-1]
-    np.cumsum(key, out=key)
-    key *= span
-    key += row_prios
-    key -= base
+    key = row_priority_keys(indptr, row_prios, span, base)
 
     # Start -> middle cut: sm_ptr[i] numbers the start-middle slots (u, v)
     # of starts before i.
@@ -107,9 +115,10 @@ def bloom_blocks(
     query = sm_ptr[1:]
     query[:] = np.arange(n)
     query *= span
-    query += prio
+    query += ranking
     query -= base
     cut = np.searchsorted(key, query)
+    del key
     row_lo = indptr[:n]
     cut -= row_lo
     np.cumsum(cut, out=sm_ptr[1:])
@@ -120,14 +129,11 @@ def bloom_blocks(
         num_mid = np.diff(sm_ptr[c0 : c1 + 1])
         sm_slot = np.repeat(row_lo[c0:c1] - sm_ptr[c0:c1], num_mid)
         sm_slot += np.arange(a, b)
-        # Middle -> end cut of every start-middle slot in the chunk.
-        mids = neighbors[sm_slot]
-        end_lo = indptr[mids]
-        mids *= span
-        mids += np.repeat(prio[c0:c1] - base, num_mid)
-        num_end = np.searchsorted(key, mids)
-        del mids
-        num_end -= end_lo
+        # Middle -> end cut of every start-middle slot (u, v): v's row is
+        # sorted by priority and holds u at the twin slot, so the ends w
+        # with p(w) < p(u) are exactly the slots before it.
+        end_lo = indptr[neighbors[sm_slot]]
+        num_end = twin[sm_slot] - end_lo
         w_ptr = np.zeros(b - a + 1, dtype=np.int64)
         np.cumsum(num_end, out=w_ptr[1:])
         end_lo -= w_ptr[:-1]  # end_lo[j] + w is the end slot of wedge w
@@ -199,6 +205,7 @@ def support_on_arrays(
     neighbors: np.ndarray,
     edge_ids: np.ndarray,
     row_prios: np.ndarray,
+    twin: np.ndarray,
     prio: np.ndarray,
     num_edges: int,
 ) -> np.ndarray:
@@ -209,7 +216,7 @@ def support_on_arrays(
     """
     support = np.zeros(num_edges, dtype=np.int64)
     for mid_edges, end_edges, bloom_k in bloom_blocks(
-        indptr, neighbors, edge_ids, row_prios, prio
+        indptr, neighbors, edge_ids, row_prios, twin, prio
     ):
         add_bloom_support(support, mid_edges, end_edges, bloom_k)
     return support
@@ -220,6 +227,7 @@ def build_shard_on_arrays(
     neighbors: np.ndarray,
     edge_ids: np.ndarray,
     row_prios: np.ndarray,
+    twin: np.ndarray,
     prio: np.ndarray,
     num_edges: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -237,7 +245,7 @@ def build_shard_on_arrays(
     pair_e2_parts: List[np.ndarray] = []
     bloom_k_parts: List[np.ndarray] = []
     for mid_edges, end_edges, bloom_k in bloom_blocks(
-        indptr, neighbors, edge_ids, row_prios, prio
+        indptr, neighbors, edge_ids, row_prios, twin, prio
     ):
         add_bloom_support(support, mid_edges, end_edges, bloom_k)
         pair_e1_parts.append(mid_edges)

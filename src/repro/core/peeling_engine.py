@@ -59,6 +59,7 @@ import numpy as np
 from repro.butterfly.wedges import build_shard_on_arrays
 from repro.graph.bipartite import BipartiteGraph
 from repro.obs import spans as obs_spans
+from repro.utils.arrays import sorted_unique
 from repro.utils.bucket_queue import BucketQueue
 from repro.utils.stats import UpdateCounter
 
@@ -245,13 +246,11 @@ class CSRPeelingEngine:
             if priorities is not None
             else graph.priorities()
         )
-        indptr, neighbors, edge_ids, row_prios = graph.csr_gid_sorted_with_prios(
-            priorities
-        )
+        arrays = graph.csr_gid_sorted_with_prios(priorities)
         m = graph.num_edges
         with obs_spans.span("bloom discovery"):
             support, pair_e1, pair_e2, pair_bloom, bloom_k = build_shard_on_arrays(
-                indptr, neighbors, edge_ids, row_prios, prio, m
+                *arrays, prio, m
             )
         with obs_spans.span("assemble"):
             num_pairs = len(pair_bloom)
@@ -355,12 +354,12 @@ class CSRPeelingEngine:
         if not len(links):
             return
         # Pass 1 — detach.  A pair with both endpoints in the batch
-        # appears twice in `links`; np.unique counts it once (exactly the
-        # "twin already severed" skip of the scalar algorithm).
+        # appears twice in `links`; sorted_unique counts it once (exactly
+        # the "twin already severed" skip of the scalar algorithm).
         twin = np.where(
             self.pair_e1[links] == owner, self.pair_e2[links], self.pair_e1[links]
         )
-        removed_pairs = np.unique(links)
+        removed_pairs = sorted_unique(links)
         touched, c_removed = np.unique(
             self.pair_bloom[removed_pairs], return_counts=True
         )

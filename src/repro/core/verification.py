@@ -21,6 +21,7 @@ import numpy as np
 from repro.butterfly.counting import count_per_edge
 from repro.core.bitruss import k_bitruss_direct, k_bitruss_edges
 from repro.graph.bipartite import BipartiteGraph
+from repro.utils.arrays import sorted_unique
 
 
 def reference_decomposition(graph: BipartiteGraph) -> np.ndarray:
@@ -60,7 +61,7 @@ def verify_decomposition(
     if len(phi) == 0:
         return
     if levels is None:
-        levels = sorted(set(int(v) for v in np.unique(phi)))
+        levels = sorted_unique(phi).tolist()
         levels.append(int(phi.max()) + 1)
 
     for k in levels:

@@ -42,7 +42,12 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.utils.priority import vertex_priorities
+from repro.utils.arrays import sorted_unique
+from repro.utils.priority import (
+    compact_ranking,
+    row_priority_keys,
+    vertex_priorities,
+)
 
 Edge = Tuple[int, int]
 
@@ -54,6 +59,24 @@ def _freeze(*arrays: np.ndarray) -> None:
     """Mark shared CSR arrays read-only so zero-copy views are safe."""
     for arr in arrays:
         arr.flags.writeable = False
+
+
+def _twin_slots(edge_ids: np.ndarray) -> np.ndarray:
+    """Map every gid-CSR slot to the other slot of the same edge id.
+
+    The lower rows hold slots ``0 .. m - 1`` and the upper rows the rest,
+    each edge once on either side, so two scatters of slot numbers by edge
+    id (one per side) and two gathers build the map in ``O(m)``.
+    """
+    m = len(edge_ids) // 2
+    lower, upper = edge_ids[:m], edge_ids[m:]
+    slot_of = np.empty(m, dtype=np.int64)
+    twin = np.empty(2 * m, dtype=np.int64)
+    slot_of[upper] = np.arange(m, 2 * m)
+    twin[:m] = slot_of[lower]
+    slot_of[lower] = np.arange(m)
+    twin[m:] = slot_of[upper]
+    return twin
 
 
 class BipartiteGraph:
@@ -184,6 +207,7 @@ class BipartiteGraph:
         self._gid_csr: Optional[CSR] = None
         self._gid_csr_sorted: Optional[CSR] = None
         self._gid_sorted_prios: Optional[np.ndarray] = None
+        self._gid_sorted_twin: Optional[np.ndarray] = None
         self._prio: Optional[np.ndarray] = None
         self._gid_adj: Optional[List[List[int]]] = None
         self._gid_adj_eids: Optional[List[List[int]]] = None
@@ -260,6 +284,7 @@ class BipartiteGraph:
         self._gid_csr = None
         self._gid_csr_sorted = None
         self._gid_sorted_prios = None
+        self._gid_sorted_twin = None
         self._prio = None
         self._gid_adj = None
         self._gid_adj_eids = None
@@ -452,9 +477,12 @@ class BipartiteGraph:
         """Global-id CSR with every row sorted by ascending neighbour priority.
 
         Priority-sorted rows turn the "priority < p(start)" filters of the
-        counting/indexing traversals into prefix lookups
-        (``np.searchsorted``) instead of boolean masks.  The default-priority
-        variant is built once (one ``np.lexsort`` over all slots) and cached.
+        counting/indexing traversals into prefix cuts instead of boolean
+        masks.  The rows are sorted by one stable ``np.argsort`` of the
+        slot key ``row * span + rank(neighbour)``, where the rank is
+        :func:`~repro.utils.priority.compact_ranking` of the priorities;
+        equal priorities keep their :meth:`csr_gid` order.  The
+        default-priority variant is built once and cached.
 
         Parameters
         ----------
@@ -472,12 +500,12 @@ class BipartiteGraph:
         if not custom and self._gid_csr_sorted is not None:
             return self._gid_csr_sorted
         indptr, indices, eids = self.csr_gid()
-        prio = np.asarray(priorities) if custom else self.priorities()
-        rows = np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64), np.diff(indptr)
-        )
-        # Stable two-key sort: primary row, secondary neighbour priority.
-        order = np.lexsort((prio[indices], rows))
+        ranking = compact_ranking(priorities if custom else self.priorities())
+        base = int(ranking.min()) if len(ranking) else 0
+        span = int(ranking.max()) - base + 1 if len(ranking) else 1
+        key = row_priority_keys(indptr, ranking[indices], span, base)
+        order = np.argsort(key, kind="stable")
+        del key
         sorted_csr = (indptr, indices[order], eids[order])
         if not custom:
             _freeze(sorted_csr[1], sorted_csr[2])
@@ -486,12 +514,14 @@ class BipartiteGraph:
 
     def csr_gid_sorted_with_prios(
         self, priorities: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`csr_gid_sorted` plus the per-slot neighbour priorities.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`csr_gid_sorted` plus per-slot neighbour priorities and twins.
 
         The traversals all need ``prio[indices]`` (one gather over all
-        ``2m`` CSR slots) next to the sorted CSR; for the default ranking it
-        is computed once and cached alongside the sorted arrays.
+        ``2m`` CSR slots) next to the sorted CSR, and the wedge kernel needs
+        each slot's twin: the other slot of the same edge.  For the default
+        ranking both are computed once and cached alongside the sorted
+        arrays.
 
         Parameters
         ----------
@@ -502,18 +532,27 @@ class BipartiteGraph:
         Returns
         -------
         tuple of numpy.ndarray
-            ``(indptr, indices, edge_ids, row_prios)`` with
-            ``row_prios[slot]`` the priority of ``indices[slot]``.
+            ``(indptr, indices, edge_ids, row_prios, twin)`` with
+            ``row_prios[slot]`` the priority of ``indices[slot]`` and
+            ``twin[slot]`` the slot with ``edge_ids[twin[slot]] ==
+            edge_ids[slot]`` in the row of ``indices[slot]``.
         """
-        custom = priorities is not None
         indptr, indices, eids = self.csr_gid_sorted(priorities)
-        if custom:
-            return indptr, indices, eids, np.asarray(priorities)[indices]
+        if priorities is not None:
+            return (
+                indptr,
+                indices,
+                eids,
+                np.asarray(priorities)[indices],
+                _twin_slots(eids),
+            )
         if self._gid_sorted_prios is None:
             row_prios = self.priorities()[indices]
-            _freeze(row_prios)
+            twin = _twin_slots(eids)
+            _freeze(row_prios, twin)
             self._gid_sorted_prios = row_prios
-        return indptr, indices, eids, self._gid_sorted_prios
+            self._gid_sorted_twin = twin
+        return indptr, indices, eids, self._gid_sorted_prios, self._gid_sorted_twin
 
     # ------------------------------------------------------------- adjacency
 
@@ -656,7 +695,7 @@ class BipartiteGraph:
         >>> orig.tolist()
         [0, 2]
         """
-        edge_ids = np.unique(np.asarray(edge_ids, dtype=np.int64))
+        edge_ids = sorted_unique(np.asarray(edge_ids, dtype=np.int64))
         pairs = np.stack(
             (self._edge_u[edge_ids], self._edge_v[edge_ids]), axis=1
         )
@@ -686,8 +725,8 @@ class BipartiteGraph:
             The subgraph induced by the kept vertices; the edge-membership
             filter is evaluated vectorized over the edge-endpoint arrays.
         """
-        upper_ids = np.unique(np.asarray(list(upper_subset), dtype=np.int64))
-        lower_ids = np.unique(np.asarray(list(lower_subset), dtype=np.int64))
+        upper_ids = sorted_unique(np.asarray(list(upper_subset), dtype=np.int64))
+        lower_ids = sorted_unique(np.asarray(list(lower_subset), dtype=np.int64))
         mask_u = np.zeros(self._n_u, dtype=bool)
         mask_u[upper_ids[(upper_ids >= 0) & (upper_ids < self._n_u)]] = True
         mask_l = np.zeros(self._n_l, dtype=bool)
@@ -761,8 +800,8 @@ class BipartiteGraph:
                 or (self._edge_v >= self._n_l).any()
             ):
                 raise AssertionError("edge endpoint out of range")
-            codes = self._edge_u * self._n_l + self._edge_v
-            if len(np.unique(codes)) != m:
+            codes = np.sort(self._edge_u * self._n_l + self._edge_v)
+            if (codes[1:] == codes[:-1]).any():
                 raise AssertionError("duplicate edges")
         for indptr, eids, label in (
             (self._up_indptr, self._up_eids, "upper"),
@@ -776,7 +815,9 @@ class BipartiteGraph:
                 int(eids.min()) < 0 or int(eids.max()) >= self.num_edges
             ):
                 raise AssertionError(f"{label} CSR edge id out of range")
-            if len(np.unique(eids)) != self.num_edges:
+            if len(eids) != self.num_edges or (
+                np.bincount(eids, minlength=self.num_edges) != 1
+            ).any():
                 raise AssertionError(f"{label} CSR edge ids not a permutation")
         # Endpoint consistency: each upper-CSR slot (u, nbrs[slot]) must be
         # the endpoints of eids[slot].

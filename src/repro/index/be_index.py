@@ -138,7 +138,8 @@ class BEIndex:
         graph : BipartiteGraph
             The (sub)graph to index.
         priorities : numpy.ndarray, optional
-            Optional precomputed Definition 7 ranking.
+            Optional precomputed Definition 7 ranking; its values must be
+            distinct (a tied ranking raises :class:`ValueError`).
         assigned : numpy.ndarray, optional
             Optional boolean mask over edge ids.  When given, construction is
             the *compressed* variant of Algorithm 6: wedges of assigned edges
@@ -172,11 +173,10 @@ class BEIndex:
         1
         """
         prio = priorities if priorities is not None else graph.priorities()
-        indptr, neighbors, edge_ids, row_prios = graph.csr_gid_sorted_with_prios(
-            priorities
-        )
+        arrays = graph.csr_gid_sorted_with_prios(priorities)
+        indptr, neighbors, edge_ids = arrays[:3]
         support, pair_e1, pair_e2, _, bloom_k = build_shard_on_arrays(
-            indptr, neighbors, edge_ids, row_prios, prio, graph.num_edges
+            *arrays, prio, graph.num_edges
         )
         blooms: Dict[int, Bloom] = {}
         edge_blooms: Dict[int, Set[int]] = {}

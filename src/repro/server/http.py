@@ -105,6 +105,15 @@ _QUERY_OPS: Dict[str, frozenset] = {
     "phi_of": frozenset({"op", "u", "v"}),
 }
 
+#: The routes the server answers, by path shape: ``/{route}``,
+#: ``/debug/{route}`` and ``/{ds}/{op}``.  Metric labels are drawn from
+#: these names plus :data:`_OTHER`.
+_ROOT_ROUTES = frozenset({"healthz", "metrics", "datasets"})
+_DEBUG_ROUTES = frozenset({"vars", "traces"})
+_SINGLE_OPS = ("stats", "histogram", "community", "max_k", "hierarchy_path")
+_DATASET_OPS = frozenset(_SINGLE_OPS + ("batch", "edges"))
+_OTHER = "other"
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -463,20 +472,31 @@ class BitrussServer:
 
     # ------------------------------------------------------------ routing
 
-    @staticmethod
-    def _endpoint_of(target: str) -> Tuple[str, str]:
+    def _endpoint_of(self, target: str) -> Tuple[str, str]:
         """(endpoint, dataset) metric labels for a request target.
 
-        ``/debug/*`` routes collapse to two-segment labels
-        (``debug/traces``, ``debug/vars``) so per-trace ids never become
-        metric label values.
+        Labels come from a fixed vocabulary so that no request path can
+        create a new series: ``/debug/*`` routes collapse to two-segment
+        labels (``debug/traces``, ``debug/vars``) and so never carry a
+        trace id, every path the router does not serve is labelled
+        ``other``, and so is a dataset name the registry does not host.
         """
         segments = [s for s in urlsplit(target).path.split("/") if s]
-        if segments and segments[0] == "debug":
-            return "/".join(segments[:2]), ""
-        endpoint = segments[-1] if segments else "index"
-        dataset = segments[0] if len(segments) == 2 else ""
-        return endpoint, dataset
+        if not segments:
+            return "index", ""
+        if segments[0] == "debug":
+            sub = segments[1] if len(segments) > 1 else ""
+            return f"debug/{sub if sub in _DEBUG_ROUTES else _OTHER}", ""
+        if len(segments) == 1:
+            name = segments[0]
+            return (name if name in _ROOT_ROUTES else _OTHER), ""
+        if len(segments) == 2:
+            name, op = segments
+            return (
+                op if op in _DATASET_OPS else _OTHER,
+                name if name in self.registry else _OTHER,
+            )
+        return _OTHER, ""
 
     def _metrics_format(self, headers: Dict[str, str], target: str) -> str:
         """Content negotiation for ``/metrics``: query param or Accept.
@@ -642,7 +662,7 @@ class BitrussServer:
             raise HTTPError(404, "unknown_route", f"no route {split.path!r}")
 
         name, op = segments
-        if op in ("stats", "histogram", "community", "max_k", "hierarchy_path"):
+        if op in _SINGLE_OPS:
             self._require(method, "GET", f"/{{ds}}/{op}")
             query = self._query_from_params(name, op, params)
             return await self._answer_single(name, query)

@@ -1,5 +1,7 @@
-"""Shared utilities: vertex priorities, peeling queues and instrumentation."""
+"""Shared utilities: vertex priorities, peeling queues, array helpers and
+instrumentation."""
 
+from repro.utils.arrays import sorted_unique
 from repro.utils.bucket_queue import BucketQueue
 from repro.utils.priority import vertex_priorities
 from repro.utils.stats import IndexSizeModel, PhaseTimer, UpdateCounter
@@ -9,5 +11,6 @@ __all__ = [
     "IndexSizeModel",
     "PhaseTimer",
     "UpdateCounter",
+    "sorted_unique",
     "vertex_priorities",
 ]

@@ -49,3 +49,42 @@ def vertex_priorities(degrees: np.ndarray) -> np.ndarray:
 def priority_order(degrees: np.ndarray) -> np.ndarray:
     """Return global vertex ids sorted by *increasing* priority."""
     return np.argsort(np.asarray(degrees), kind="stable")
+
+
+def compact_ranking(prio: np.ndarray) -> np.ndarray:
+    """An integer ranking in the order of ``prio`` spanning at most ``n`` values.
+
+    Only the order of a ranking matters to the priority-sorted traversals.
+    An integer ranking that spans fewer than ``n = len(prio)`` values is
+    returned as is (the same object); floats and wider integer rankings are
+    replaced by their dense 0-based ranks, ties kept equal.  Either way the
+    result spans at most ``n`` values, so ``row * span + rank`` sort keys
+    over ``n`` rows fit in ``int64``.
+    """
+    prio = np.asarray(prio)
+    if np.issubdtype(prio.dtype, np.integer) and (
+        not len(prio) or np.ptp(prio) < len(prio)
+    ):
+        return prio
+    return np.unique(prio, return_inverse=True)[1]
+
+
+def row_priority_keys(
+    indptr: np.ndarray, slot_ranks: np.ndarray, span: int, base: int = 0
+) -> np.ndarray:
+    """The sort key ``row * span + slot_ranks - base`` of every CSR slot.
+
+    ``slot_ranks[slot]`` is the rank of the slot's neighbour, in
+    ``[base, base + span)``.  Sorting the slots by this key orders rows
+    ascending and each row by neighbour rank; over rows already sorted that
+    way the key is non-decreasing.
+    """
+    n = len(indptr) - 1
+    # Row of every slot: one histogram of row starts, prefix-summed.
+    key = np.bincount(indptr[1:n], minlength=len(slot_ranks) + 1)[:-1]
+    np.cumsum(key, out=key)
+    key *= span
+    key += slot_ranks
+    if base:
+        key -= base
+    return key

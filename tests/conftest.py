@@ -56,6 +56,22 @@ def bipartite_graphs(
     return BipartiteGraph(n_u, n_l, edges)
 
 
+@st.composite
+def custom_priorities(draw, n):
+    """A Definition 7 stand-in: permutations, floats, sparse ints, ties."""
+    kind = draw(st.sampled_from(["permutation", "float", "spread", "ties"]))
+    if kind == "ties":
+        return np.asarray(
+            draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        )
+    prio = np.asarray(draw(st.permutations(range(1, n + 1))), dtype=np.int64)
+    if kind == "float":
+        return prio / 7.0 - 3.0
+    if kind == "spread":
+        return (prio - n // 2) * 10**15
+    return prio
+
+
 def assert_phi_equal(phi_a, phi_b, context: str = "") -> None:
     """Readable array comparison for bitruss numbers."""
     a = np.asarray(phi_a)

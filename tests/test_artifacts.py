@@ -168,6 +168,59 @@ def test_tampered_graph_detected(artifact, tmp_path):
         load_artifact(bad)
 
 
+#: Structural faults the checked load must catch before any hash: each
+#: keeps every array's length and range, and the message names the check.
+STRUCTURAL_FAULTS = {
+    "duplicate-edge": "duplicate edges",
+    "edge-ids-not-a-permutation": "upper CSR edge ids not a permutation",
+}
+
+
+def _structurally_corrupt(graph, fault):
+    """Copies of ``graph``'s endpoint and CSR arrays with one fault."""
+    arrays = {
+        "edge_upper": np.array(graph.edge_upper),
+        "edge_lower": np.array(graph.edge_lower),
+        **dict(zip(("up_indptr", "up_indices", "up_edge_ids"),
+                   map(np.array, graph.csr_upper()))),
+        **dict(zip(("lo_indptr", "lo_indices", "lo_edge_ids"),
+                   map(np.array, graph.csr_lower()))),
+    }
+    if fault == "duplicate-edge":  # edge 1 becomes a copy of edge 0
+        arrays["edge_upper"][1] = arrays["edge_upper"][0]
+        arrays["edge_lower"][1] = arrays["edge_lower"][0]
+    else:  # one edge id repeated and another missing, same length m
+        arrays["up_edge_ids"][1] = arrays["up_edge_ids"][0]
+    return arrays
+
+
+@pytest.mark.parametrize("fault", sorted(STRUCTURAL_FAULTS))
+def test_from_csr_rejects_structural_faults(figure4, fault):
+    a = _structurally_corrupt(figure4, fault)
+    with pytest.raises(AssertionError, match=STRUCTURAL_FAULTS[fault]):
+        BipartiteGraph.from_csr(
+            figure4.num_upper,
+            figure4.num_lower,
+            a["edge_upper"],
+            a["edge_lower"],
+            (a["up_indptr"], a["up_indices"], a["up_edge_ids"]),
+            (a["lo_indptr"], a["lo_indices"], a["lo_edge_ids"]),
+        )
+
+
+@pytest.mark.parametrize("mmap_mode", [None, "r"])
+@pytest.mark.parametrize("fault", sorted(STRUCTURAL_FAULTS))
+def test_dir_artifact_structural_faults_detected(
+    artifact, tmp_path, fault, mmap_mode
+):
+    path = tmp_path / "bad"
+    save_artifact(artifact, path, layout="dir")
+    for key, array in _structurally_corrupt(artifact.graph, fault).items():
+        np.save(path / f"{key}.npy", array)
+    with pytest.raises(ArtifactIntegrityError, match=STRUCTURAL_FAULTS[fault]):
+        load_artifact(path, mmap_mode=mmap_mode)
+
+
 def test_corrupt_header_detected(artifact, tmp_path):
     path = tmp_path / "good.npz"
     save_artifact(artifact, path)

@@ -21,7 +21,7 @@ from repro.graph.generators import (
 from repro.index.be_index import BEIndex
 from repro.utils.priority import vertex_priorities
 from repro.utils.stats import UpdateCounter
-from tests.conftest import bipartite_graphs
+from tests.conftest import bipartite_graphs, custom_priorities
 from tests.wedge_oracles import scalar_be_index
 
 
@@ -356,22 +356,6 @@ def test_dataset_index_matches_oracle(name):
     assert_matches_oracle(graph, assigned=assigned)
 
 
-@st.composite
-def custom_priorities(draw, n):
-    """A Definition 7 stand-in: permutations, floats, sparse ints, ties."""
-    kind = draw(st.sampled_from(["permutation", "float", "spread", "ties"]))
-    if kind == "ties":
-        return np.asarray(
-            draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        )
-    prio = np.asarray(draw(st.permutations(range(1, n + 1))), dtype=np.int64)
-    if kind == "float":
-        return prio / 7.0 - 3.0
-    if kind == "spread":
-        return (prio - n // 2) * 10**15
-    return prio
-
-
 @settings(max_examples=60, deadline=None)
 @given(bipartite_graphs(max_upper=8, max_lower=8, max_edges=35), st.data())
 def test_hypothesis_index_matches_oracle(graph, data):
@@ -384,8 +368,13 @@ def test_hypothesis_index_matches_oracle(graph, data):
         ),
         dtype=bool,
     )
-    assert_matches_oracle(graph, priorities=priorities)
-    assert_matches_oracle(graph, priorities=priorities, assigned=assigned)
+    if len(set(priorities.tolist())) < graph.num_vertices:
+        # Definition 7 is a strict order: the wedge kernel refuses ties.
+        with pytest.raises(ValueError, match="distinct"):
+            BEIndex.build(graph, priorities=priorities)
+    else:
+        assert_matches_oracle(graph, priorities=priorities)
+        assert_matches_oracle(graph, priorities=priorities, assigned=assigned)
     assert_matches_oracle(graph, assigned=assigned)
 
 

@@ -13,6 +13,7 @@ Covers the two contracts of the CSR refactor:
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bit_bu import bit_bu
 from repro.core.bit_bu_batch import bit_bu_csr, bit_bu_plus_plus
@@ -21,11 +22,12 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import (
     affiliation_bipartite,
     chung_lu_bipartite,
+    complete_biclique,
     erdos_renyi_bipartite,
     nested_communities,
 )
 from repro.index.be_index import BEIndex
-from tests.conftest import bipartite_graphs
+from tests.conftest import bipartite_graphs, custom_priorities
 
 
 def reference_adjacency(graph):
@@ -112,6 +114,7 @@ class TestCSRAgreesWithLegacyAccessors:
             *g.csr_upper(),
             *g.csr_lower(),
             *g.csr_gid(),
+            *g.csr_gid_sorted_with_prios(),
         ):
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -124,6 +127,70 @@ class TestCSRAgreesWithLegacyAccessors:
         assert int(indptr[-1]) == 2 * graph.num_edges
         # every edge appears exactly once per endpoint
         assert np.bincount(eids, minlength=graph.num_edges).tolist() == [2] * graph.num_edges
+
+
+def lexsort_sorted_view(graph, priorities=None):
+    """The sorted gid CSR by definition: a stable sort on (row, priority)."""
+    indptr, indices, eids = graph.csr_gid()
+    prio = graph.priorities() if priorities is None else np.asarray(priorities)
+    rows = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), np.diff(indptr))
+    order = np.lexsort((prio[indices], rows))
+    return indptr, indices[order], eids[order]
+
+
+def assert_sorted_view_matches_lexsort(graph, priorities=None):
+    got = graph.csr_gid_sorted(priorities)
+    for name, a, b in zip(
+        ("indptr", "indices", "edge_ids"), got, lexsort_sorted_view(graph, priorities)
+    ):
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    indptr, indices, eids, row_prios, twin = graph.csr_gid_sorted_with_prios(
+        priorities
+    )
+    prio = graph.priorities() if priorities is None else np.asarray(priorities)
+    np.testing.assert_array_equal(row_prios, prio[indices])
+    # twin[slot]: the other slot of the same edge, in the neighbour's row.
+    slots = np.arange(len(eids))
+    rows = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), np.diff(indptr))
+    assert twin.dtype == np.int64
+    assert not (twin == slots).any()
+    np.testing.assert_array_equal(twin[twin], slots)
+    np.testing.assert_array_equal(eids[twin], eids)
+    np.testing.assert_array_equal(rows[twin], indices)
+
+
+class TestSortedView:
+    @given(bipartite_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lexsort_oracle(self, graph, data):
+        priorities = data.draw(
+            st.one_of(st.none(), custom_priorities(graph.num_vertices))
+        )
+        assert_sorted_view_matches_lexsort(graph, priorities)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            BipartiteGraph(0, 0),
+            BipartiteGraph(3, 4),
+            BipartiteGraph(0, 5),
+            complete_biclique(40, 40),
+        ],
+        ids=["empty", "edgeless", "one-layer", "K40x40"],
+    )
+    @pytest.mark.parametrize("kind", ["default", "float", "spread", "ties"])
+    def test_fixed_graphs(self, graph, kind):
+        # In K40x40 three tied priority values give rows of 40 unsorted
+        # keys with ~13 copies each, enough for an unstable sort to reorder.
+        n = graph.num_vertices
+        priorities = {
+            "default": None,
+            "float": np.arange(n) / 7.0,
+            "spread": np.arange(n, dtype=np.int64) * 10**15,
+            "ties": np.arange(n, dtype=np.int64) % 3,
+        }[kind]
+        assert_sorted_view_matches_lexsort(graph, priorities)
 
 
 class TestBatchPeelingExactness:

@@ -434,6 +434,44 @@ class TestServerObservability:
 
         run(scenario())
 
+    def test_unknown_paths_add_at_most_one_series_each(self, fig4_artifact):
+        shapes = {
+            "unknown dataset and op": "/junk{i}/x{i}",
+            "unknown op": "/fig4/x{i}",
+            "unknown dataset": "/junk{i}/stats",
+            "unknown route": "/junk{i}",
+            "deep path": "/a/b/c{i}",
+            "unknown debug route": "/debug/x{i}",
+        }
+
+        def request_series(body):
+            return {
+                name
+                for name in parse_prometheus(body.decode())
+                if name.startswith("repro_http_requests_total{")
+            }
+
+        async def scenario():
+            async with make_server(fig4_artifact) as server:
+                scrape = "/metrics?format=prometheus"
+                for shape, template in shapes.items():
+                    _, _, body = await raw_http(server.port, "GET", scrape)
+                    before = request_series(body)
+                    for i in range(20):
+                        await raw_http(server.port, "GET", template.format(i=i))
+                    _, _, body = await raw_http(server.port, "GET", scrape)
+                    added = request_series(body) - before
+                    # The scrape series itself may be new on the first pass.
+                    added.discard(
+                        'repro_http_requests_total{endpoint="metrics",dataset=""}'
+                    )
+                    assert len(added) <= 1, (shape, sorted(added))
+                _, _, body = await raw_http(server.port, "GET", "/metrics")
+                by_endpoint = json.loads(body)["server"]["by_endpoint"]
+                assert set(by_endpoint) <= {"other", "debug/other", "stats", "metrics"}
+
+        run(scenario())
+
     def test_histogram_buckets_are_cumulative_and_consistent(self, fig4_artifact):
         async def scenario():
             async with make_server(fig4_artifact) as server:

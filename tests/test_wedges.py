@@ -16,16 +16,18 @@ import pytest
 from hypothesis import given, settings
 
 from repro.butterfly import wedges
-from repro.butterfly.counting import count_per_edge_naive
+from repro.butterfly.counting import count_per_edge, count_per_edge_naive
 from repro.butterfly.wedges import (
     WEDGE_BUDGET,
     build_shard_on_arrays,
     support_on_arrays,
 )
 from repro.core.api import bitruss_decomposition
+from repro.core.peeling_engine import CSRPeelingEngine
 from repro.datasets import dataset_names, load_dataset
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import complete_biclique, erdos_renyi_bipartite
+from repro.index.be_index import BEIndex
 from tests.conftest import bipartite_graphs
 from tests.wedge_oracles import collect_wedges
 
@@ -48,7 +50,7 @@ def _arrays(graph, priorities=None):
 
 def oracle_shard(graph, priorities=None):
     """Algorithm 3, one start at a time."""
-    indptr, nbrs, eids, row_prios, prio = _arrays(graph, priorities)
+    indptr, nbrs, eids, row_prios, _twin, prio = _arrays(graph, priorities)
     support = [0] * graph.num_edges
     pair_e1, pair_e2, pair_bloom, bloom_k = [], [], [], []
     for start in range(graph.num_vertices):
@@ -153,15 +155,34 @@ def test_custom_priorities(kind):
     )
 
 
+@pytest.mark.parametrize("kind", ["int", "float"])
+@pytest.mark.parametrize(
+    "build",
+    [count_per_edge, BEIndex.build, CSRPeelingEngine.build],
+    ids=["count_per_edge", "BEIndex.build", "CSRPeelingEngine.build"],
+)
+def test_tied_ranking_is_refused(build, kind):
+    # Definition 7 is a strict order; with ties the twin cut would count
+    # an end w with p(w) == p(u) as lower than the start.
+    graph = erdos_renyi_bipartite(12, 14, 70, seed=4)
+    ties = np.random.default_rng(4).integers(1, 5, graph.num_vertices)
+    if kind == "float":
+        ties = ties / 3.0
+    with pytest.raises(ValueError, match="distinct"):
+        build(graph, priorities=ties)
+
+
 # ---------------------------------------------------------- memory contract
 
 
 def test_peak_memory_follows_budget_not_wedge_count():
     graph = erdos_renyi_bipartite(60, 60, 1500, seed=1)
     arrays = _arrays(graph)
+    indptr, nbrs, eids, row_prios, _twin, prio = arrays
     n, m = graph.num_vertices, graph.num_edges
     wedges = sum(
-        len(collect_wedges(*arrays, start) or ()) for start in range(n)
+        len(collect_wedges(indptr, nbrs, eids, row_prios, prio, start) or ())
+        for start in range(n)
     )
     budget = 256
     assert wedges >= 50 * budget

@@ -64,7 +64,7 @@ def scalar_be_index(
     start's end vertices in the order their first wedge is generated.
     """
     prio = priorities if priorities is not None else graph.priorities()
-    indptr, nbr_arr, eid_arr, row_prios = graph.csr_gid_sorted_with_prios(
+    indptr, nbr_arr, eid_arr, row_prios, _twin = graph.csr_gid_sorted_with_prios(
         priorities
     )
     support = np.zeros(graph.num_edges, dtype=np.int64)
