@@ -6,20 +6,22 @@ cheap enough for per-request bookkeeping.  Labelled series live in one
 dict per family keyed by the label-value tuple, so the common unlabelled
 case is a single dict lookup with the empty tuple.
 
-Two consumers shape the API:
+Each event is counted once, at the site where it happens, into a family
+of the registry that owns it:
 
-* the HTTP server encodes a registry (plus scrape-time synthesized
-  families) into the Prometheus text exposition format via
-  :meth:`MetricsRegistry.to_prometheus`;
-* the server folds the process-global registry's plain-dict
-  :meth:`~MetricsRegistry.snapshot` into its own with
-  :meth:`~MetricsRegistry.merge_snapshot` at scrape time (counters and
-  histogram buckets add; gauges last-write-win).
+* a process-global registry (:func:`get_registry`) carries the metrics
+  of library code that has no server to attach to — incremental-repair
+  counters;
+* each serving component (the HTTP server, its query coalescer, its
+  update manager) owns a :class:`MetricsRegistry`, so two servers in one
+  process never mix their counts, and its JSON ``stats()`` read the
+  same families.
 
-A process-global registry (:func:`get_registry`) carries the metrics of
-library code that has no server to attach to — incremental-repair
-counters; the server keeps its own per-instance registry for HTTP series
-and merges the global one at scrape time.
+A Prometheus scrape folds every registry's plain-dict
+:meth:`~MetricsRegistry.snapshot` into a scratch registry with
+:meth:`~MetricsRegistry.merge_snapshot` (counters and histogram buckets
+add; gauges last-write-win) and encodes it with
+:meth:`MetricsRegistry.to_prometheus`.
 """
 
 from __future__ import annotations
@@ -118,9 +120,9 @@ class Counter:
     def set_to(self, value: float, labels: Sequence[str] = ()) -> None:
         """Overwrite the labelled series (for mirroring external counts).
 
-        Used when a counter maintained elsewhere (e.g. the update
-        manager's per-dataset dicts) is reflected into a scrape-time
-        registry; never for live accounting.
+        Used when a counter kept by another object (e.g. a query engine's
+        cache hits) is reflected into a scrape-time registry; never for
+        live accounting.
         """
         key = _check_labels(self.label_names, labels)
         self._values[key] = float(value)
@@ -128,6 +130,10 @@ class Counter:
     def value(self, labels: Sequence[str] = ()) -> float:
         """Current value of the labelled series (0 when never bumped)."""
         return self._values.get(_check_labels(self.label_names, labels), 0.0)
+
+    def total(self) -> float:
+        """Sum over every labelled series."""
+        return sum(self._values.values())
 
     def series(self) -> Dict[LabelValues, float]:
         """All labelled series, keyed by label-value tuple."""
@@ -256,7 +262,9 @@ class MetricsRegistry:
 
     Families are get-or-create: asking for an existing name with the same
     kind and labels returns the live family, so modules can declare their
-    metrics at call sites without import-order coupling.
+    metrics at call sites without import-order coupling.  An unlabelled
+    counter or gauge starts with its one series at 0, so it is exposed
+    before its first event.
     """
 
     def __init__(self) -> None:
@@ -274,6 +282,8 @@ class MetricsRegistry:
                 )
             return family
         family = cls(name, help, tuple(label_names), **kwargs)
+        if not label_names and cls is not Histogram:
+            family._values[()] = 0.0
         self._families[name] = family
         return family
 

@@ -30,6 +30,7 @@ import asyncio
 import json
 from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
 
@@ -47,6 +48,15 @@ def canonical_key(queries: Sequence[Query]) -> str:
     lists).
     """
     return json.dumps(queries, sort_keys=True, separators=(",", ":"))
+
+
+#: ``stats()`` key → help of its ``repro_coalescer_{key}_total`` counter.
+_COUNTERS = {
+    "submitted": "Query-list submissions.",
+    "merged": "Submissions merged onto an identical in-flight request.",
+    "flushes": "Engine batches flushed.",
+    "queries_flushed": "Individual queries carried by flushed batches.",
+}
 
 
 class SharedResult:
@@ -105,8 +115,9 @@ class QueryCoalescer:
         Flush immediately once a window holds this many distinct
         submissions (bounds worst-case latency under heavy fan-in).
 
-    All state lives on the event loop; no locks.  Counters are exposed by
-    :meth:`stats` and surfaced in the server's ``/metrics``.
+    All state lives on the event loop; no locks.  Counts go into the
+    coalescer's own :attr:`metrics` registry, which :meth:`stats` reads
+    and the server's ``/metrics`` scrape merges.
     """
 
     def __init__(self, *, window: float = 0.002, max_batch: int = 64) -> None:
@@ -119,10 +130,11 @@ class QueryCoalescer:
         self._inflight: Dict[Tuple[str, str], asyncio.Future] = {}
         self._trace_ids: Dict[Tuple[str, str], List[str]] = {}
         self._pending: Dict[str, _Pending] = {}
-        self._submitted = 0
-        self._merged = 0
-        self._flushes = 0
-        self._queries_flushed = 0
+        self.metrics = obs_metrics.MetricsRegistry()
+        self._counts = {
+            key: self.metrics.counter(f"repro_coalescer_{key}_total", help)
+            for key, help in _COUNTERS.items()
+        }
 
     # ---------------------------------------------------------- interface
 
@@ -139,7 +151,7 @@ class QueryCoalescer:
         pinned artifact version (``"name@v3"``) so requests validated
         against different engines can never fold together.
         """
-        self._submitted += 1
+        self._counts["submitted"].inc()
         queries = [dict(q) for q in queries]
         key = (dataset, canonical_key(queries))
         trace_id = obs_trace.current_trace_id()
@@ -149,7 +161,7 @@ class QueryCoalescer:
             self._trace_ids.setdefault(key, []).append(trace_id)
         shared = self._inflight.get(key)
         if shared is not None:
-            self._merged += 1
+            self._counts["merged"].inc()
             # The fold span measures how long this rider waited on the
             # shared in-flight computation it merged onto.
             with obs_spans.span("coalescer fold", merged=True, queries=len(queries)):
@@ -176,10 +188,7 @@ class QueryCoalescer:
         return {
             "window_s": self.window,
             "max_batch": self.max_batch,
-            "submitted": self._submitted,
-            "merged": self._merged,
-            "flushes": self._flushes,
-            "queries_flushed": self._queries_flushed,
+            **{key: int(c.value()) for key, c in self._counts.items()},
             "inflight": len(self._inflight),
         }
 
@@ -212,8 +221,8 @@ class QueryCoalescer:
         for _, queries, _ in items:
             offsets.append((len(flat), len(flat) + len(queries)))
             flat.extend(queries)
-        self._flushes += 1
-        self._queries_flushed += len(flat)
+        self._counts["flushes"].inc()
+        self._counts["queries_flushed"].inc(len(flat))
         try:
             # The flush task's context was copied inside the fold span of
             # the submission that opened (or filled) the window, so this

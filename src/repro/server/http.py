@@ -264,14 +264,10 @@ class BitrussServer:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._started_at = time.time()
-        self._requests_total = 0
-        self._errors_total = 0
-        self._active = 0
-        self._by_endpoint: Dict[str, int] = {}
         # The server owns its HTTP series registry (separate from the
         # process-global one library code writes to) so concurrent server
         # instances in one process never cross-pollute each other's
-        # request counts; a scrape merges both views.
+        # request counts.  Both /metrics payloads read these families.
         self._metrics = obs_metrics.MetricsRegistry()
         self._m_requests = self._metrics.counter(
             "repro_http_requests_total",
@@ -289,6 +285,13 @@ class BitrussServer:
             "(scrapes of /metrics are excluded).",
             ("endpoint",),
         )
+        self._m_active = self._metrics.gauge(
+            "repro_server_active_requests", "Requests currently in flight."
+        )
+        self._metrics.gauge(
+            "repro_process_start_time_seconds",
+            "Unix time the server object was created.",
+        ).set(self._started_at)
 
     # ---------------------------------------------------------- lifecycle
 
@@ -333,9 +336,10 @@ class BitrussServer:
                 except HTTPError as exc:
                     # Unframeable request (bad request line, bad or huge
                     # Content-Length): answer once, then close — the
-                    # stream position can no longer be trusted.
-                    self._requests_total += 1
-                    self._errors_total += 1
+                    # stream position can no longer be trusted.  It was
+                    # never routed, so it counts under ``other``.
+                    self._m_requests.inc(labels=(_OTHER, ""))
+                    self._m_errors.inc(labels=(_OTHER,))
                     self._write_response(
                         writer, exc.status, _dumps(exc.payload()), keep=False
                     )
@@ -519,8 +523,7 @@ class BitrussServer:
         self, method: str, target: str, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, bytes, str, str]:
         """Route one request → (status, body bytes, content type, trace id)."""
-        self._requests_total += 1
-        self._active += 1
+        self._m_active.inc()
         endpoint, dataset = self._endpoint_of(target)
         raw_tid = headers.get("x-trace-id", "")
         trace_id = (
@@ -550,9 +553,6 @@ class BitrussServer:
             )
             if fmt != "json":
                 self._require(method, "GET", "/metrics")
-                self._by_endpoint["metrics"] = (
-                    self._by_endpoint.get("metrics", 0) + 1
-                )
                 openmetrics = fmt == "openmetrics"
                 payload = self.metrics_prometheus(
                     openmetrics=openmetrics
@@ -566,11 +566,9 @@ class BitrussServer:
                 payload = await self._route(method, target, body)
             return status, payload, ctype, trace_id
         except HTTPError as exc:
-            self._errors_total += 1
             status = exc.status
             return status, _dumps(exc.payload()), "application/json", trace_id
         except UnknownDatasetError as exc:
-            self._errors_total += 1
             err = HTTPError(
                 404,
                 "unknown_dataset",
@@ -579,18 +577,16 @@ class BitrussServer:
             status = 404
             return status, _dumps(err.payload()), "application/json", trace_id
         except StaleArtifactError as exc:
-            self._errors_total += 1
             err = HTTPError(503, "stale_artifact", str(exc))
             status = 503
             return status, _dumps(err.payload()), "application/json", trace_id
         except Exception as exc:  # noqa: BLE001 - last-resort 500
-            self._errors_total += 1
             _LOG.exception("unhandled error serving %s %s", method, target)
             err = HTTPError(500, "internal", f"{type(exc).__name__}: {exc}")
             status = 500
             return status, _dumps(err.payload()), "application/json", trace_id
         finally:
-            self._active -= 1
+            self._m_active.dec()
             if root_ctx is not None:
                 if root_span is not None:
                     root_span.attrs["status"] = status
@@ -640,10 +636,6 @@ class BitrussServer:
             key: values[-1] for key, values in parse_qs(split.query).items()
         }
         segments = [s for s in split.path.split("/") if s]
-        # Bounded-cardinality endpoint label (never a raw trace id).
-        label, _ = self._endpoint_of(target)
-        self._by_endpoint[label] = self._by_endpoint.get(label, 0) + 1
-
         if segments and segments[0] == "debug":
             return self._route_debug(method, segments, params)
         if not segments:
@@ -1087,13 +1079,22 @@ class BitrussServer:
         ]
 
     def metrics(self) -> Dict[str, object]:
-        """The ``/metrics`` payload (also handy in-process, e.g. benches)."""
+        """The ``/metrics`` payload (also handy in-process, e.g. benches).
+
+        The server counts read the labelled HTTP families:
+        ``by_endpoint`` sums finished requests over datasets,
+        ``requests_total`` adds the ones still in flight.
+        """
+        by_endpoint: Dict[str, int] = {}
+        for (endpoint, _), n in self._m_requests.series().items():
+            by_endpoint[endpoint] = by_endpoint.get(endpoint, 0) + int(n)
+        active = int(self._m_active.value())
         payload: Dict[str, object] = {
             "server": {
-                "requests_total": self._requests_total,
-                "errors_total": self._errors_total,
-                "active_requests": self._active,
-                "by_endpoint": dict(self._by_endpoint),
+                "requests_total": sum(by_endpoint.values()) + active,
+                "errors_total": int(self._m_errors.total()),
+                "active_requests": active,
+                "by_endpoint": by_endpoint,
                 "process_start_time": self._started_at,
                 "uptime_seconds": time.time() - self._started_at,
             },
@@ -1108,37 +1109,35 @@ class BitrussServer:
         return payload
 
     def metrics_prometheus(self, *, openmetrics: bool = False) -> str:
-        """The Prometheus text exposition of everything ``metrics()`` knows.
+        """The Prometheus text exposition of the same families.
 
-        Built fresh per scrape: the server's live HTTP series and the
-        process-global library registry are merged into a scratch
-        registry, then the legacy JSON payload's derived signals
-        (versions, cache hit rates, coalescer fold ratio, update
-        counters) are synthesized on top as gauges/counters.  With
-        ``openmetrics=True`` histogram buckets carry trace-id exemplars
-        and the output ends with the ``# EOF`` terminator.
+        Built fresh per scrape: the process-global, server, coalescer and
+        update-manager registries are merged into a scratch registry.
+        On top go the two lifetime totals (sums of the labelled HTTP
+        families) and the state that lives in objects, read at scrape
+        time: uptime, each dataset's version, edge count and engine cache
+        counts, the cache-hit and coalescer fold ratios, and each mutable
+        dataset's tracker sync.  With ``openmetrics=True`` histogram
+        buckets carry trace-id exemplars and the output ends with the
+        ``# EOF`` terminator.
         """
         reg = obs_metrics.MetricsRegistry()
-        reg.merge_snapshot(obs_metrics.get_registry().snapshot())
-        reg.merge_snapshot(self._metrics.snapshot())
-        data = self.metrics()
-        server = data["server"]
+        sources = [obs_metrics.get_registry(), self._metrics]
+        if self.coalescer is not None:
+            sources.append(self.coalescer.metrics)
+        if self.updates is not None:
+            sources.append(self.updates.metrics)
+        for source in sources:
+            reg.merge_snapshot(source.snapshot())
         reg.counter(
             "repro_server_requests_total", "All HTTP requests since start."
-        ).set_to(server["requests_total"])
+        ).inc(self._m_requests.total() + self._m_active.value())
         reg.counter(
             "repro_server_errors_total", "All error responses since start."
-        ).set_to(server["errors_total"])
-        reg.gauge(
-            "repro_server_active_requests", "Requests currently in flight."
-        ).set(server["active_requests"])
-        reg.gauge(
-            "repro_process_start_time_seconds",
-            "Unix time the server object was created.",
-        ).set(server["process_start_time"])
+        ).inc(self._m_errors.total())
         reg.gauge(
             "repro_process_uptime_seconds", "Seconds since server start."
-        ).set(server["uptime_seconds"])
+        ).set(time.time() - self._started_at)
         version_g = reg.gauge(
             "repro_dataset_artifact_version",
             "Live artifact version per hosted dataset.",
@@ -1164,75 +1163,31 @@ class BitrussServer:
             "hits / (hits + misses) per dataset (0 when unqueried).",
             ("dataset",),
         )
-        for name, entry in data["datasets"].items():
-            labels = (name,)
-            version_g.set(entry["version"], labels)
-            edges_g.set(entry["num_edges"], labels)
-            cache = entry["cache"]
-            hits, misses = cache["hits"], cache["misses"]
-            hits_c.set_to(hits, labels)
-            misses_c.set_to(misses, labels)
-            hit_rate_g.set(hits / (hits + misses) if hits + misses else 0.0, labels)
-        coal = data.get("coalescer")
-        if coal is not None:
-            reg.counter(
-                "repro_coalescer_submitted_total", "Query-list submissions."
-            ).set_to(coal["submitted"])
-            reg.counter(
-                "repro_coalescer_merged_total",
-                "Submissions merged onto an identical in-flight request.",
-            ).set_to(coal["merged"])
-            reg.counter(
-                "repro_coalescer_flushes_total", "Engine batches flushed."
-            ).set_to(coal["flushes"])
-            reg.counter(
-                "repro_coalescer_queries_flushed_total",
-                "Individual queries carried by flushed batches.",
-            ).set_to(coal["queries_flushed"])
-            reg.gauge(
-                "repro_coalescer_fold_ratio",
-                "Submissions per engine batch (submitted / flushes).",
-            ).set(coal["submitted"] / coal["flushes"] if coal["flushes"] else 0.0)
-        upd = data.get("updates")
-        if upd is not None:
-            fams = {
-                "mutations": reg.counter(
-                    "repro_updates_mutations_total",
-                    "Edge mutations accepted per dataset.",
-                    ("dataset",),
-                ),
-                "rebuilds": reg.counter(
-                    "repro_updates_rebuilds_total",
-                    "Full artifact rebuilds per dataset.",
-                    ("dataset",),
-                ),
-                "incremental_patches": reg.counter(
-                    "repro_updates_incremental_patches_total",
-                    "Localized incremental phi patches per dataset.",
-                    ("dataset",),
-                ),
-                "incremental_fallbacks": reg.counter(
-                    "repro_updates_incremental_fallbacks_total",
-                    "Incremental repairs that fell back to a rebuild.",
-                    ("dataset",),
-                ),
-                "predicted_fallbacks": reg.counter(
-                    "repro_updates_predicted_fallbacks_total",
-                    "Ops the fallback predictor routed past the region "
-                    "search (no abort cost paid).",
-                    ("dataset",),
-                ),
-            }
+        if self.updates is not None:
             dirty_g = reg.gauge(
                 "repro_incremental_tracker_dirty",
                 "1 while a dataset's phi tracker has lost sync and is "
                 "waiting on the scheduled rebuild to reseed it.",
                 ("dataset",),
             )
-            for name, entry in upd.items():
-                for key, fam in fams.items():
-                    fam.set_to(entry.get(key, 0) or 0, (name,))
-                dirty_g.set(1.0 if entry.get("tracker_dirty") else 0.0, (name,))
+        for entry in self.registry:
+            labels = (entry.name,)
+            version_g.set(entry.version, labels)
+            edges_g.set(entry.engine.graph.num_edges, labels)
+            cache = entry.engine.cache_info()
+            hits, misses = cache["hits"], cache["misses"]
+            hits_c.set_to(hits, labels)
+            misses_c.set_to(misses, labels)
+            hit_rate_g.set(hits / (hits + misses) if hits + misses else 0.0, labels)
+            if self.updates is not None and self.updates.is_mutable(entry.name):
+                dirty_g.set(float(self.updates.tracker_dirty(entry.name)), labels)
+        if self.coalescer is not None:
+            flushes = reg.get("repro_coalescer_flushes_total").value()
+            submitted = reg.get("repro_coalescer_submitted_total").value()
+            reg.gauge(
+                "repro_coalescer_fold_ratio",
+                "Submissions per engine batch (submitted / flushes).",
+            ).set(submitted / flushes if flushes else 0.0)
         return reg.to_prometheus(openmetrics=openmetrics)
 
     def __repr__(self) -> str:

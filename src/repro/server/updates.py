@@ -61,6 +61,18 @@ class MutationError(ValueError):
     """A ``POST /{ds}/edges`` payload could not be applied."""
 
 
+#: ``stats()`` key → help of its ``repro_updates_{key}_total`` counter.
+_COUNTERS = {
+    "mutations": "Edge mutations accepted per dataset.",
+    "rebuilds": "Full artifact rebuilds per dataset.",
+    "rebuild_errors": "Background rebuilds that raised, per dataset.",
+    "incremental_patches": "Localized incremental phi patches per dataset.",
+    "incremental_fallbacks": "Incremental repairs that fell back to a rebuild.",
+    "predicted_fallbacks": "Ops the fallback predictor routed past the "
+    "region search (no abort cost paid).",
+}
+
+
 class UpdateManager:
     """Owns the dynamic mirrors and the debounced rebuild tasks.
 
@@ -91,6 +103,10 @@ class UpdateManager:
         Batches with more ops than this skip the batched repair and go
         straight to one debounced rebuild (a bulk load should not pay m
         localized re-peels).
+
+    Per-dataset counts go into the manager's own :attr:`metrics`
+    registry, which :meth:`stats` reads and the server's ``/metrics``
+    scrape merges.
     """
 
     def __init__(
@@ -120,13 +136,20 @@ class UpdateManager:
         self._dynamics: Dict[str, DynamicBipartiteGraph] = {}
         self._gen: Dict[str, int] = {}
         self._tasks: Dict[str, asyncio.Task] = {}
-        self._rebuilds: Dict[str, int] = {}
-        self._mutations: Dict[str, int] = {}
-        self._rebuild_errors: Dict[str, int] = {}
         self._last_error: Dict[str, Optional[str]] = {}
-        self._patches: Dict[str, int] = {}
-        self._fallbacks: Dict[str, int] = {}
-        self._predicted: Dict[str, int] = {}
+        self.metrics = obs_metrics.MetricsRegistry()
+        self._counts = {
+            key: self.metrics.counter(
+                f"repro_updates_{key}_total", help, ("dataset",)
+            )
+            for key, help in _COUNTERS.items()
+        }
+        self._batch_ops = self.metrics.histogram(
+            "repro_updates_batch_ops",
+            "Ops per accepted mutation batch.",
+            ("dataset",),
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
+        )
 
     # ----------------------------------------------------------- wiring
 
@@ -152,13 +175,9 @@ class UpdateManager:
         dynamic.register_artifact(entry.engine)
         self._dynamics[name] = dynamic
         self._gen[name] = 0
-        self._rebuilds[name] = 0
-        self._mutations[name] = 0
-        self._rebuild_errors[name] = 0
         self._last_error[name] = None
-        self._patches[name] = 0
-        self._fallbacks[name] = 0
-        self._predicted[name] = 0
+        for family in self._counts.values():
+            family.inc(0, (name,))  # exposed at 0 from the start
         if self.incremental and dynamic.tracker is None:
             # Seed the φ tracker from the artifact being served — exact for
             # the mirror's current edge set, so no decomposition runs here.
@@ -286,12 +305,7 @@ class UpdateManager:
             raise MutationError("ops must be a list of edge operations")
         inserts, deletes = self._canonicalize(dynamic, ops)
         if ops:
-            obs_metrics.get_registry().histogram(
-                "repro_updates_batch_ops",
-                "Ops per accepted mutation batch.",
-                ("dataset",),
-                buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
-            ).observe(float(len(ops)), (name,))
+            self._batch_ops.observe(float(len(ops)), (name,))
         if not inserts and not deletes:
             return {
                 "applied": len(ops),
@@ -308,7 +322,7 @@ class UpdateManager:
             and net_ops <= self.max_incremental_batch
             and self.rebuild_threshold > 0.0
         )
-        self._mutations[name] += len(ops)
+        self._count(name, "mutations", len(ops))
         if use_tracker:
             outcome = dynamic.apply_batch(
                 inserts,
@@ -317,7 +331,9 @@ class UpdateManager:
                 patch_watchers=False,
             )
             if outcome.batch is not None:
-                self._predicted[name] += outcome.batch.predicted_fallbacks
+                self._count(
+                    name, "predicted_fallbacks", outcome.batch.predicted_fallbacks
+                )
             if outcome.incremental:
                 self._patch(name, outcome=outcome)
                 mode = "incremental"
@@ -325,7 +341,7 @@ class UpdateManager:
                 # Pending repairs were flushed before the tracker went
                 # dirty, so φ stays exact for everything already peeled;
                 # one debounced rebuild reconciles the rest.
-                self._fallbacks[name] += 1
+                self._count(name, "incremental_fallbacks")
                 self._schedule(name)
                 mode = "scheduled"
         else:
@@ -346,6 +362,9 @@ class UpdateManager:
             "num_edges": dynamic.num_edges,
             "rebuild": mode,
         }
+
+    def _count(self, name: str, key: str, amount: int = 1) -> None:
+        self._counts[key].inc(amount, (name,))
 
     def _schedule(self, name: str) -> None:
         """Restart the debounce clock and ensure a refresh task is running."""
@@ -414,12 +433,7 @@ class UpdateManager:
             # took: bump the generation so that rebuild's staleness check sees
             # the patch and marks its (older) artifact stale on landing.
             self._gen[name] += 1
-            self._patches[name] += 1
-        obs_metrics.get_registry().counter(
-            "repro_incremental_patch_publishes_total",
-            "Patched artifacts published without a rebuild.",
-            ("dataset",),
-        ).inc(labels=(name,))
+            self._count(name, "incremental_patches")
         _LOG.debug(
             "published incremental patch for %r (version %d)",
             name,
@@ -445,7 +459,7 @@ class UpdateManager:
                     # Don't hot-loop a broken build: record it loudly (the
                     # dataset stays advertised stale) and let the next
                     # mutation schedule a fresh attempt.
-                    self._rebuild_errors[name] += 1
+                    self._count(name, "rebuild_errors")
                     self._last_error[name] = f"{type(exc).__name__}: {exc}"
                     _LOG.exception("rebuild of dataset %r failed", name)
                     return
@@ -504,7 +518,7 @@ class UpdateManager:
             # /datasets keep advertising the lag until the follow-up
             # rebuild (which the refresh loop runs next) catches up.
             engine.invalidate()
-        self._rebuilds[name] += 1
+        self._count(name, "rebuilds")
 
     async def wait_idle(self) -> None:
         """Block until every scheduled rebuild has landed (test/shutdown)."""
@@ -517,22 +531,23 @@ class UpdateManager:
         """Whether a rebuild is scheduled or running for ``name``."""
         return self._tasks.get(name) is not None
 
+    def tracker_dirty(self, name: str) -> bool:
+        """Whether ``name``'s φ tracker lost sync and awaits a rebuild."""
+        tracker = self._dynamics[name].tracker
+        return bool(tracker is not None and tracker.dirty)
+
     def stats(self) -> Dict[str, Dict[str, object]]:
         """Per-mutable-dataset counters for ``/metrics``."""
         return {
             name: {
-                "mutations": self._mutations[name],
-                "rebuilds": self._rebuilds[name],
-                "rebuild_errors": self._rebuild_errors[name],
+                **{
+                    key: int(family.value((name,)))
+                    for key, family in self._counts.items()
+                },
                 "last_error": self._last_error[name],
                 "pending_rebuild": self.pending(name),
                 "mirror_edges": dyn.num_edges,
-                "incremental_patches": self._patches[name],
-                "incremental_fallbacks": self._fallbacks[name],
-                "predicted_fallbacks": self._predicted[name],
-                "tracker_dirty": bool(
-                    dyn.tracker is not None and dyn.tracker.dirty
-                ),
+                "tracker_dirty": self.tracker_dirty(name),
             }
             for name, dyn in self._dynamics.items()
         }

@@ -26,7 +26,12 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
-from repro.server import ArtifactRegistry, BitrussServer, QueryCoalescer
+from repro.server import (
+    ArtifactRegistry,
+    BitrussServer,
+    QueryCoalescer,
+    UpdateManager,
+)
 from repro.service import build_artifact
 from tests.conftest import tree_paths
 
@@ -659,6 +664,196 @@ class TestServerObservability:
 
         walk(payload["profile"], ())
         assert batches == payload["coalescer"]["flushes"] > 0
+
+    def test_unframeable_requests_are_counted_per_endpoint(self, fig4_artifact):
+        """Requests rejected before routing land in the labelled families."""
+        unframeable = (
+            b"GARBAGE\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nContent-Length: many\r\n\r\n",
+            b"POST /fig4/batch HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n",
+        )
+
+        async def scenario():
+            async with make_server(fig4_artifact) as server:
+                statuses = [
+                    (await raw_exchange(server.port, data))[0]
+                    for data in unframeable
+                ]
+                assert statuses == [400, 400, 413]
+                _, _, body = await raw_http(
+                    server.port, "GET", "/metrics?format=prometheus"
+                )
+                series = parse_prometheus(body.decode())
+                assert series[
+                    'repro_http_requests_total{endpoint="other",dataset=""}'
+                ] == 3
+                assert series['repro_http_errors_total{endpoint="other"}'] == 3
+                _, _, body = await raw_http(server.port, "GET", "/metrics")
+                srv = json.loads(body)["server"]
+                assert srv["by_endpoint"]["other"] == 3
+                assert srv["errors_total"] == 3
+
+        run(scenario())
+
+    def test_server_totals_equal_labelled_family_sums(self, fig4_artifact):
+        async def scenario():
+            async with make_mutable_server(fig4_artifact) as server:
+                return await drive_golden_script(server.port)
+
+        series = parse_prometheus(run(scenario()))
+        assert series["repro_server_requests_total"] == (
+            family_sum(series, "repro_http_requests_total")
+            + series["repro_server_active_requests"]
+        )
+        assert series["repro_server_errors_total"] == family_sum(
+            series, "repro_http_errors_total"
+        )
+        assert family_sum(series, "repro_http_errors_total") == 3
+
+    def test_exposition_matches_recorded_golden(self, fig4_artifact):
+        """Every family, its type and labels, and every count value of a
+        fixed request script stay as recorded."""
+
+        async def scenario():
+            async with make_mutable_server(fig4_artifact) as server:
+                return await drive_golden_script(server.port)
+
+        assert exposition_digest(run(scenario())) == SERVER_GOLDEN.read_text()
+
+    def test_docs_catalog_lists_exactly_the_scraped_families(self, fig4_artifact):
+        """The catalog in docs/observability.md names every family a
+        mutable server exposes after a patch and both fallback kinds, and
+        no other."""
+
+        async def scenario():
+            async with make_mutable_server(fig4_artifact) as server:
+                port = server.port
+                assert await post_edges(port, "insert", 0, 2) == "incremental"
+                # Below the region a search needs: the search aborts.
+                server.updates.rebuild_threshold = 0.15
+                assert await post_edges(port, "insert", 1, 4) == "scheduled"
+                await server.updates.wait_idle()
+                # The predictor skips the search outright.
+                assert await post_edges(port, "delete", 0, 0) == "scheduled"
+                await server.updates.wait_idle()
+                await raw_http(port, "GET", "/fig4/stats")
+                _, _, body = await raw_http(
+                    port, "GET", "/metrics?format=prometheus"
+                )
+                return body.decode()
+
+        scraped = {
+            line.split(" ")[2]
+            for line in run(scenario()).splitlines()
+            if line.startswith("# TYPE ")
+        }
+        catalog = set(
+            re.findall(
+                r"^\| `(repro_\w+)` \|",
+                DOCS.read_text().split("### Metric catalog")[1].split("\n## ")[0],
+                re.MULTILINE,
+            )
+        )
+        assert sorted(scraped - catalog) == []
+        assert sorted(catalog - scraped) == []
+
+
+SERVER_GOLDEN = Path(__file__).parent / "data" / "server_exposition_golden.txt"
+DOCS = Path(__file__).parents[1] / "docs" / "observability.md"
+
+
+def make_mutable_server(artifact, **kwargs):
+    """A server whose fig4 accepts writes; a 1.0 threshold patches them."""
+    registry = ArtifactRegistry()
+    registry.register("fig4", artifact, allow_stale=True)
+    updates = UpdateManager(registry, debounce=0.01, rebuild_threshold=1.0)
+    updates.attach("fig4")
+    return BitrussServer(registry, port=0, updates=updates, **kwargs)
+
+
+async def raw_exchange(port, data):
+    """Send ``data`` as-is on a fresh connection; return (status, body)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(data)
+        await writer.drain()
+        raw = await reader.read()
+    finally:
+        writer.close()
+    return int(raw.split(b" ", 2)[1]), raw.partition(b"\r\n\r\n")[2]
+
+
+async def post_edges(port, op, u, v):
+    """POST one edge op; return the ``rebuild`` mode of the answer."""
+    body = json.dumps({"ops": [{"op": op, "u": u, "v": v}]}).encode()
+    _, answer = await raw_exchange(
+        port,
+        b"POST /fig4/edges HTTP/1.1\r\nConnection: close\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+    )
+    return json.loads(answer)["rebuild"]
+
+
+async def drive_golden_script(port):
+    """Queries, a 404, a 405, an unframeable request, an incremental patch
+    and a query after it; returns the closing Prometheus scrape."""
+    for target in ("/fig4/stats", "/fig4/stats", "/fig4/community?k=1&upper=0"):
+        assert (await raw_http(port, "GET", target))[0] == 200
+    assert (await raw_http(port, "GET", "/nope"))[0] == 404
+    assert (await raw_http(port, "POST", "/fig4/stats"))[0] == 405
+    assert (await raw_exchange(port, b"GARBAGE\r\n\r\n"))[0] == 400
+    assert await post_edges(port, "insert", 0, 2) == "incremental"
+    assert (await raw_http(port, "GET", "/fig4/max_k?upper=0"))[0] == 200
+    _, _, body = await raw_http(port, "GET", "/metrics?format=prometheus")
+    return body.decode()
+
+
+def family_sum(series, family):
+    """Sum of every series of one counter or gauge family."""
+    return sum(
+        value
+        for name, value in series.items()
+        if name == family or name.startswith(family + "{")
+    )
+
+
+#: Run-dependent series the golden digest leaves out.
+_UNPINNED = ("repro_process_uptime_seconds", "repro_process_start_time_seconds")
+
+
+def exposition_digest(text):
+    """Each family's name, type and label names, then its count series.
+
+    Counter and gauge series keep their values; a histogram keeps only
+    its ``_count`` series.  Latency sums, buckets, uptime and start time
+    vary from run to run and are left out.
+    """
+    kinds, label_names, samples = {}, {}, {}
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split(" ")
+            kinds[name] = kind
+            label_names[name] = []
+            samples[name] = []
+        elif line and not line.startswith("#"):
+            series, _, value = line.rpartition(" ")
+            name = series.partition("{")[0]
+            family = name if name in kinds else name.rpartition("_")[0]
+            for label in re.findall(r'(\w+)="(?:[^"\\]|\\.)*"', series):
+                if label != "le" and label not in label_names[family]:
+                    label_names[family].append(label)
+            pinned = (
+                name.endswith("_count")
+                if kinds[family] == "histogram"
+                else family not in _UNPINNED
+            )
+            if pinned:
+                samples[family].append(f"  {series} {value}")
+    out = []
+    for family in sorted(kinds):
+        out.append(f"{family} {kinds[family]} ({','.join(label_names[family])})")
+        out.extend(samples[family])
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------- CLI
