@@ -151,6 +151,7 @@ def bench_dataset(name, tmp_dir: Path):
         "artifact_build_seconds": round(build_s, 6),
         "artifact_save_seconds": round(save_s, 6),
         "artifact_load_seconds": round(load_s, 6),
+        "artifact_bytes": path.stat().st_size,
         "recompute_seconds": round(recompute_s, 6),
         "engine_seconds": round(engine_s, 6),
         "speedup": round(recompute_s / engine_s, 2) if engine_s else float("inf"),

@@ -42,7 +42,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.utils.arrays import sorted_unique
+from repro.utils.arrays import sorted_unique, stable_argsort
 from repro.utils.priority import (
     compact_ranking,
     row_priority_keys,
@@ -59,6 +59,69 @@ def _freeze(*arrays: np.ndarray) -> None:
     """Mark shared CSR arrays read-only so zero-copy views are safe."""
     for arr in arrays:
         arr.flags.writeable = False
+
+
+def csr_from_endpoints(
+    rows: np.ndarray, cols: np.ndarray, num_rows: int
+) -> CSR:
+    """One layer's CSR block from ``int64`` endpoint arrays indexed by edge id.
+
+    Row ``r`` lists its edges in edge-id order: the slot order is the
+    stable sort of ``rows``, done by :func:`~repro.utils.arrays.stable_argsort`
+    in ``O(m)`` per 16 bits of ``num_rows``, and ``indptr`` is the prefix sum
+    of one ``bincount``.  The constructor, the chunked loader and the
+    artifact loader all build their CSR here.
+
+    Raises
+    ------
+    ValueError
+        If a row id is negative or not below ``num_rows``.
+
+    >>> indptr, indices, eids = csr_from_endpoints(
+    ...     np.array([1, 0, 1]), np.array([5, 6, 7]), 2)
+    >>> indptr.tolist(), indices.tolist(), eids.tolist()
+    ([0, 1, 3], [6, 5, 7], [1, 0, 2])
+    """
+    counts = np.bincount(rows, minlength=num_rows)
+    if len(counts) != num_rows:
+        raise ValueError(f"row id {len(counts) - 1} out of range [0, {num_rows})")
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    order = stable_argsort(rows, num_rows)
+    return indptr, cols[order], order
+
+
+def first_occurrences(
+    edge_u: np.ndarray,
+    edge_v: np.ndarray,
+    num_upper: int,
+    num_lower: int,
+    *,
+    dedup: bool,
+) -> Optional[np.ndarray]:
+    """Positions of each distinct ``(u, v)`` pair's first occurrence.
+
+    Returns ``None`` when no pair repeats (the common case, decided by one
+    ``np.sort`` of the linearized codes plus a neighbour compare).
+    Otherwise returns the first-occurrence positions in input order, or,
+    with ``dedup=False``, raises :class:`ValueError` naming the earliest
+    repeated edge.  Endpoints must already be range-checked.
+    """
+    codes = edge_u * num_lower + edge_v
+    ordered = np.sort(codes)
+    head = np.empty(len(codes), dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    if head.all():
+        return None
+    # The stable order puts each run's first occurrence at its head.
+    order = stable_argsort(codes, num_upper * num_lower)
+    if not dedup:
+        dup = int(order[~head].min())
+        raise ValueError(
+            f"duplicate edge ({int(edge_u[dup])}, {int(edge_v[dup])})"
+        )
+    return np.sort(order[head])
 
 
 def _twin_slots(edge_ids: np.ndarray) -> np.ndarray:
@@ -157,60 +220,19 @@ class BipartiteGraph:
                 raise ValueError(
                     f"lower endpoint {offender} out of range [0, {self._n_l})"
                 )
-            # Duplicate detection on the linearized (u, v) codes.  m > 0
-            # implies n_l >= 1 (the range check above), so the code is exact.
-            codes = edge_u * self._n_l + edge_v
-            _unique, first = np.unique(codes, return_index=True)
-            if len(first) != len(codes):
-                if not dedup:
-                    mask = np.ones(len(codes), dtype=bool)
-                    mask[first] = False
-                    dup = int(np.argmax(mask))
-                    raise ValueError(
-                        f"duplicate edge ({int(edge_u[dup])}, {int(edge_v[dup])})"
-                    )
-                keep = np.sort(first)  # first occurrences, original order
+            keep = first_occurrences(
+                edge_u, edge_v, self._n_u, self._n_l, dedup=dedup
+            )
+            if keep is not None:
                 edge_u = edge_u[keep]
                 edge_v = edge_v[keep]
 
-        self._edge_u = edge_u
-        self._edge_v = edge_v
-
-        # Per-layer CSR.  A stable argsort on the endpoint keeps each row's
-        # slots in edge-id order, matching the historical append order.
-        m = edge_u.shape[0]
-        order_u = np.argsort(edge_u, kind="stable")
-        self._up_indptr = np.zeros(self._n_u + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edge_u, minlength=self._n_u), out=self._up_indptr[1:])
-        self._up_eids = order_u
-        self._up_nbrs = edge_v[order_u]
-
-        order_l = np.argsort(edge_v, kind="stable")
-        self._lo_indptr = np.zeros(self._n_l + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edge_v, minlength=self._n_l), out=self._lo_indptr[1:])
-        self._lo_eids = order_l
-        self._lo_nbrs = edge_u[order_l]
-
-        _freeze(
-            self._edge_u,
-            self._edge_v,
-            self._up_indptr,
-            self._up_nbrs,
-            self._up_eids,
-            self._lo_indptr,
-            self._lo_nbrs,
-            self._lo_eids,
+        self._install(
+            edge_u,
+            edge_v,
+            csr_from_endpoints(edge_u, edge_v, self._n_u),
+            csr_from_endpoints(edge_v, edge_u, self._n_l),
         )
-
-        # Lazily-built caches, all derived from the CSR arrays above.
-        self._edge_index: Optional[Dict[Edge, int]] = None
-        self._gid_csr: Optional[CSR] = None
-        self._gid_csr_sorted: Optional[CSR] = None
-        self._gid_sorted_prios: Optional[np.ndarray] = None
-        self._gid_sorted_twin: Optional[np.ndarray] = None
-        self._prio: Optional[np.ndarray] = None
-        self._gid_adj: Optional[List[List[int]]] = None
-        self._gid_adj_eids: Optional[List[List[int]]] = None
 
     @classmethod
     def from_csr(
@@ -226,11 +248,13 @@ class BipartiteGraph:
     ) -> "BipartiteGraph":
         """Rehydrate a graph from pre-built endpoint and CSR arrays.
 
-        The normal constructor derives the CSR blocks from the edge list;
-        this alternate constructor *installs* arrays that were built (and
-        validated) earlier — the fast path for reopening a saved
-        :class:`~repro.service.artifacts.DecompositionArtifact`, where the
-        arrays come straight out of an ``.npz`` file.
+        The normal constructor range-checks and deduplicates an edge list
+        before deriving the CSR blocks; this alternate constructor
+        *installs* arrays that were built elsewhere — the CSR ``.npy``
+        files of a directory-layout
+        :class:`~repro.service.artifacts.DecompositionArtifact`, or blocks
+        derived with :func:`csr_from_endpoints` by the chunked loader and
+        the ``.npz`` artifact loader.
 
         Parameters
         ----------
@@ -258,6 +282,23 @@ class BipartiteGraph:
         self = cls.__new__(cls)
         self._n_u = int(num_upper)
         self._n_l = int(num_lower)
+        if len(upper_csr[0]) != self._n_u + 1:
+            raise ValueError("upper indptr length does not match num_upper")
+        if len(lower_csr[0]) != self._n_l + 1:
+            raise ValueError("lower indptr length does not match num_lower")
+        self._install(edge_upper, edge_lower, upper_csr, lower_csr)
+        if check:
+            self._validate_arrays()
+        return self
+
+    def _install(
+        self,
+        edge_upper: np.ndarray,
+        edge_lower: np.ndarray,
+        upper_csr: CSR,
+        lower_csr: CSR,
+    ) -> None:
+        """Install endpoint and CSR arrays as frozen ``int64``; reset caches."""
         self._edge_u = np.ascontiguousarray(edge_upper, dtype=np.int64)
         self._edge_v = np.ascontiguousarray(edge_lower, dtype=np.int64)
         (self._up_indptr, self._up_nbrs, self._up_eids) = (
@@ -266,10 +307,6 @@ class BipartiteGraph:
         (self._lo_indptr, self._lo_nbrs, self._lo_eids) = (
             np.ascontiguousarray(a, dtype=np.int64) for a in lower_csr
         )
-        if len(self._up_indptr) != self._n_u + 1:
-            raise ValueError("upper indptr length does not match num_upper")
-        if len(self._lo_indptr) != self._n_l + 1:
-            raise ValueError("lower indptr length does not match num_lower")
         _freeze(
             self._edge_u,
             self._edge_v,
@@ -280,17 +317,16 @@ class BipartiteGraph:
             self._lo_nbrs,
             self._lo_eids,
         )
-        self._edge_index = None
-        self._gid_csr = None
-        self._gid_csr_sorted = None
-        self._gid_sorted_prios = None
-        self._gid_sorted_twin = None
-        self._prio = None
-        self._gid_adj = None
-        self._gid_adj_eids = None
-        if check:
-            self._validate_arrays()
-        return self
+
+        # Lazily-built caches, all derived from the CSR arrays above.
+        self._edge_index: Optional[Dict[Edge, int]] = None
+        self._gid_csr: Optional[CSR] = None
+        self._gid_csr_sorted: Optional[CSR] = None
+        self._gid_sorted_prios: Optional[np.ndarray] = None
+        self._gid_sorted_twin: Optional[np.ndarray] = None
+        self._prio: Optional[np.ndarray] = None
+        self._gid_adj: Optional[List[List[int]]] = None
+        self._gid_adj_eids: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------ size
 

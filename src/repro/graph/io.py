@@ -34,7 +34,11 @@ from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.graph.bipartite import BipartiteGraph
+from repro.graph.bipartite import (
+    BipartiteGraph,
+    csr_from_endpoints,
+    first_occurrences,
+)
 from repro.obs import spans as obs_spans
 
 PathLike = Union[str, Path]
@@ -146,11 +150,14 @@ def edges_to_csr_chunked(
 ) -> BipartiteGraph:
     """Assemble edge chunks into a CSR graph without Python-object state.
 
-    Chunks are gathered into one ``(m, 2)`` ``int64`` array, deduplicated
-    by a sorted-array pass (``np.unique`` over linearized codes, first
-    occurrence kept in original order — the exact rule of the
-    :class:`BipartiteGraph` constructor), and the per-layer CSR blocks are
-    built directly and installed via :meth:`BipartiteGraph.from_csr`.  No
+    Chunks are gathered into one ``(m, 2)`` ``int64`` array and
+    deduplicated by :func:`~repro.graph.bipartite.first_occurrences` (one
+    ``np.sort`` of the linearized codes finds whether any pair repeats;
+    only then does a radix argsort pick each pair's first occurrence, kept
+    in original order — the rule of the :class:`BipartiteGraph`
+    constructor).  Both CSR blocks come from
+    :func:`~repro.graph.bipartite.csr_from_endpoints`, the constructor's
+    builder, and are installed via :meth:`BipartiteGraph.from_csr`.  No
     per-edge Python tuple, list or dict is ever materialized, so peak
     memory stays a small constant factor of the final arrays.
 
@@ -199,43 +206,18 @@ def edges_to_csr_chunked(
             raise ValueError(
                 f"lower endpoint {int(edge_v.max())} out of range [0, {n_l})"
             )
-        # Sorted-array dedup on linearized (u, v) codes — same first-
-        # occurrence rule as the BipartiteGraph constructor.
-        codes = edge_u * n_l + edge_v
-        _unique, first = np.unique(codes, return_index=True)
-        if len(first) != len(codes):
-            if not dedup:
-                mask = np.ones(len(codes), dtype=bool)
-                mask[first] = False
-                dup = int(np.argmax(mask))
-                raise ValueError(
-                    f"duplicate edge ({int(edge_u[dup])}, {int(edge_v[dup])})"
-                )
-            keep = np.sort(first)
-            edge_u = np.ascontiguousarray(edge_u[keep])
-            edge_v = np.ascontiguousarray(edge_v[keep])
-            del keep
-        del codes, _unique, first
-
-    # Per-layer CSR, replicating the constructor's exact layout: a stable
-    # argsort keeps each row's slots in edge-id order.
-    order_u = np.argsort(edge_u, kind="stable")
-    up_indptr = np.zeros(n_u + 1, dtype=np.int64)
-    np.cumsum(np.bincount(edge_u, minlength=n_u), out=up_indptr[1:])
-    up_nbrs = edge_v[order_u]
-
-    order_l = np.argsort(edge_v, kind="stable")
-    lo_indptr = np.zeros(n_l + 1, dtype=np.int64)
-    np.cumsum(np.bincount(edge_v, minlength=n_l), out=lo_indptr[1:])
-    lo_nbrs = edge_u[order_l]
+        keep = first_occurrences(edge_u, edge_v, n_u, n_l, dedup=dedup)
+        if keep is not None:
+            edge_u = edge_u[keep]
+            edge_v = edge_v[keep]
 
     return BipartiteGraph.from_csr(
         n_u,
         n_l,
         edge_u,
         edge_v,
-        (up_indptr, up_nbrs, order_u),
-        (lo_indptr, lo_nbrs, order_l),
+        csr_from_endpoints(edge_u, edge_v, n_u),
+        csr_from_endpoints(edge_v, edge_u, n_l),
         check=False,
     )
 

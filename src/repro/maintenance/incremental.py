@@ -80,7 +80,6 @@ import numpy as np
 
 from repro.core.peeling_engine import NO_EXPIRY, peel_region
 from repro.graph.bipartite import BipartiteGraph
-from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dynamic imports us)
@@ -234,6 +233,8 @@ class _BatchState:
     pending_edges: Set[Edge] = field(default_factory=set)
     predicted_fallbacks: int = 0
     budget_aborts: int = 0
+    predictor_hits: int = 0
+    predictor_misses: int = 0
     conflict_flushes: int = 0
     merged_peels: int = 0
     regions_peeled: int = 0
@@ -248,12 +249,19 @@ class BatchReport:
     deferred-peel machinery: ``merged_peels`` is how many multi-seed
     :func:`peel_region` calls covered the batch's ``regions_peeled``
     regions, and ``conflict_flushes`` counts early flushes forced by
-    overlapping regions.
+    overlapping regions.  The fallback predictor's outcomes are counted
+    per op: ``predicted_fallbacks`` (searches it skipped),
+    ``budget_aborts`` (searches that hit the budget), and, when the
+    predictor ran, ``predictor_hits`` / ``predictor_misses`` (allowed
+    searches that fit the budget / still aborted).  The server's
+    :class:`~repro.server.updates.UpdateManager` counts them per dataset.
     """
 
     reports: List[RepairReport] = field(default_factory=list)
     predicted_fallbacks: int = 0
     budget_aborts: int = 0
+    predictor_hits: int = 0
+    predictor_misses: int = 0
     conflict_flushes: int = 0
     merged_peels: int = 0
     regions_peeled: int = 0
@@ -814,27 +822,12 @@ class IncrementalBitruss:
         repaired up to the last healthy op before the tracker goes dirty.
         """
         self._flush(state)
-        registry = obs_metrics.get_registry()
         if predicted:
             state.predicted_fallbacks += 1
-            registry.counter(
-                "repro_incremental_predicted_fallbacks_total",
-                "Ops whose region search was skipped because the "
-                "bound × first-layer estimate exceeded the budget.",
-            ).inc()
         else:
             state.budget_aborts += 1
             if state.predict:
-                registry.counter(
-                    "repro_incremental_predictor_misses_total",
-                    "Region searches the predictor allowed that still "
-                    "aborted on the budget.",
-                ).inc()
-            registry.counter(
-                "repro_incremental_budget_aborts_total",
-                "Region searches aborted by the max_region_edges budget "
-                "(each forces a full re-peel fallback).",
-            ).inc()
+                state.predictor_misses += 1
         self.mark_dirty()
         report.fallback = True
         return report
@@ -853,11 +846,7 @@ class IncrementalBitruss:
         report.region_fraction = len(region) / num_edges if num_edges else 0.0
         self.budget.observe(len(region))
         if state.predict:
-            obs_metrics.get_registry().counter(
-                "repro_incremental_predictor_hits_total",
-                "Region searches the predictor allowed that completed "
-                "within budget.",
-            ).inc()
+            state.predictor_hits += 1
         if not region:
             if inserted is not None:
                 report.changed[inserted] = (-1, self._phi[inserted])
@@ -1020,6 +1009,8 @@ class IncrementalBitruss:
         self._flush(state)
         batch.predicted_fallbacks = state.predicted_fallbacks
         batch.budget_aborts = state.budget_aborts
+        batch.predictor_hits = state.predictor_hits
+        batch.predictor_misses = state.predictor_misses
         batch.conflict_flushes = state.conflict_flushes
         batch.merged_peels = state.merged_peels
         batch.regions_peeled = state.regions_peeled

@@ -72,6 +72,17 @@ _COUNTERS = {
     "region search (no abort cost paid).",
 }
 
+#: ``BatchReport`` field → help of its ``repro_incremental_{field}_total``
+#: counter, counted from each tracked batch.
+_TRACKER_COUNTERS = {
+    "budget_aborts": "Region searches aborted by the budget (each forces "
+    "a rebuild fallback), per dataset.",
+    "predictor_hits": "Region searches the predictor allowed that "
+    "completed within budget, per dataset.",
+    "predictor_misses": "Region searches the predictor allowed that still "
+    "aborted on the budget, per dataset.",
+}
+
 
 class UpdateManager:
     """Owns the dynamic mirrors and the debounced rebuild tasks.
@@ -143,6 +154,12 @@ class UpdateManager:
                 f"repro_updates_{key}_total", help, ("dataset",)
             )
             for key, help in _COUNTERS.items()
+        }
+        self._tracker_counts = {
+            key: self.metrics.counter(
+                f"repro_incremental_{key}_total", help, ("dataset",)
+            )
+            for key, help in _TRACKER_COUNTERS.items()
         }
         self._batch_ops = self.metrics.histogram(
             "repro_updates_batch_ops",
@@ -334,6 +351,8 @@ class UpdateManager:
                 self._count(
                     name, "predicted_fallbacks", outcome.batch.predicted_fallbacks
                 )
+                for key, family in self._tracker_counts.items():
+                    family.inc(getattr(outcome.batch, key), (name,))
             if outcome.incremental:
                 self._patch(name, outcome=outcome)
                 mode = "incremental"

@@ -1,18 +1,18 @@
-"""Decomposition artifacts: a frozen decomposition in a single ``.npz``.
+"""Decomposition artifacts: a frozen decomposition, saved once, served often.
 
 A :class:`DecompositionArtifact` is the offline half of the service layer's
-compute-once / query-many split: the graph's CSR arrays
-(``indptr``/``indices``/``edge_id`` for both layers), the per-edge bitruss
-numbers φ, and provenance metadata (algorithm, graph hash, format version)
-packed into one compressed numpy archive.  Building one costs a full
-decomposition; reopening one costs a file read plus integrity checks.
+compute-once / query-many split: the decomposed graph, the per-edge
+bitruss numbers φ, and provenance metadata (algorithm, graph hash, format
+version).  Building one costs a full decomposition; reopening one costs a
+file read, an ``O(m)`` CSR build and the integrity checks.
 
 Integrity
 ---------
 Two SHA-256 digests travel with the file: one over the graph structure
-(layer sizes + endpoint arrays) and one over φ.  :func:`load_artifact`
-recomputes both and refuses files whose content no longer matches —
-truncation, bit rot, or a hand-edited φ array all raise
+(layer sizes + endpoint arrays) and one over φ, both over ``int64``
+values, so they do not depend on the dtype an array is stored at.
+:func:`load_artifact` recomputes both and refuses files whose content no
+longer matches — truncation, bit rot, or a hand-edited φ array all raise
 :class:`ArtifactIntegrityError` instead of silently serving wrong answers.
 The rehydrated graph additionally runs the CSR/endpoint consistency checks
 of :meth:`~repro.graph.bipartite.BipartiteGraph.validate`.  Hashes are
@@ -23,14 +23,25 @@ Layouts
 -------
 Two on-disk layouts share one header and one loader:
 
-* ``.npz`` (the default for paths ending in ``.npz``) — a single
-  compressed archive; smallest on disk, but the zip container cannot be
-  memory-mapped, so reopening is O(size) in RAM.
-* **directory** (any other path) — ``header.json`` plus one raw ``.npy``
-  file per array.  ``load_artifact(path, mmap_mode="r")`` (or
+* ``.npz`` (the default for paths ending in ``.npz``), format version 2 —
+  one compressed archive holding the header plus ``edge_upper``,
+  ``edge_lower`` and ``phi``, each at the narrowest unsigned dtype that
+  holds its maximum.  Both CSR blocks are a function of the endpoints, so
+  they are not stored: the loader widens the arrays to ``int64`` and
+  derives the blocks with
+  :func:`~repro.graph.bipartite.csr_from_endpoints`, the graph
+  constructor's own builder.  The six CSR member names of version 1 are
+  kept as empty arrays, so a version 1 reader stops at "unsupported
+  artifact version" rather than at missing members.  The zip container
+  cannot be memory-mapped, so reopening is O(size) in RAM.
+* **directory** (any other path), format version 1 — ``header.json``
+  plus one raw ``int64`` ``.npy`` file per array, both CSR blocks
+  included.  ``load_artifact(path, mmap_mode="r")`` (or
   :meth:`DecompositionArtifact.load`) then opens every array as a numpy
   memmap: O(1) resident memory, pages faulted in on demand — the serving
   posture for artifacts larger than RAM.
+
+Version 1 ``.npz`` archives (all nine ``int64`` arrays) still load.
 
 Staleness
 ---------
@@ -52,12 +63,30 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.result import BitrussDecomposition
-from repro.graph.bipartite import BipartiteGraph
+from repro.graph.bipartite import BipartiteGraph, csr_from_endpoints
 from repro.utils.stats import DecompositionStats
 
-#: On-disk format tag; bump :data:`ARTIFACT_VERSION` on layout changes.
+#: On-disk format tag; bump a version on layout changes.
 ARTIFACT_FORMAT = "repro-bitruss-artifact"
-ARTIFACT_VERSION = 1
+#: Version written to ``.npz`` archives: endpoints and φ, CSR derived.
+ARTIFACT_VERSION = 2
+#: Version written to the directory layout: every array, CSR included.
+DIR_ARTIFACT_VERSION = 1
+
+_CSR_KEYS = (
+    "up_indptr",
+    "up_indices",
+    "up_edge_ids",
+    "lo_indptr",
+    "lo_indices",
+    "lo_edge_ids",
+)
+
+#: Array members each loadable version must hold.
+_MEMBERS = {
+    1: ("edge_upper", "edge_lower") + _CSR_KEYS + ("phi",),
+    2: ("edge_upper", "edge_lower", "phi"),
+}
 
 
 class ArtifactError(ValueError):
@@ -307,11 +336,13 @@ def build_artifact(
     return DecompositionArtifact.from_decomposition(result)
 
 
-def _build_header(artifact: DecompositionArtifact) -> Dict[str, object]:
+def _build_header(
+    artifact: DecompositionArtifact, version: int
+) -> Dict[str, object]:
     graph = artifact.graph
     return {
         "format": ARTIFACT_FORMAT,
-        "version": ARTIFACT_VERSION,
+        "version": version,
         "algorithm": artifact.algorithm,
         "num_upper": graph.num_upper,
         "num_lower": graph.num_lower,
@@ -322,21 +353,19 @@ def _build_header(artifact: DecompositionArtifact) -> Dict[str, object]:
     }
 
 
-def _array_map(artifact: DecompositionArtifact) -> Dict[str, np.ndarray]:
-    graph = artifact.graph
-    up_indptr, up_nbrs, up_eids = graph.csr_upper()
-    lo_indptr, lo_nbrs, lo_eids = graph.csr_lower()
-    return {
-        "edge_upper": graph.edge_upper,
-        "edge_lower": graph.edge_lower,
-        "up_indptr": up_indptr,
-        "up_indices": up_nbrs,
-        "up_edge_ids": up_eids,
-        "lo_indptr": lo_indptr,
-        "lo_indices": lo_nbrs,
-        "lo_edge_ids": lo_eids,
-        "phi": artifact.phi,
-    }
+def _narrowest(array: np.ndarray) -> np.ndarray:
+    """``array`` at the narrowest integer dtype holding its values.
+
+    Unsigned whenever nothing is negative (endpoints and φ never are), so
+    the narrowest unsigned dtype that holds the maximum.
+    """
+    if not len(array):
+        return np.asarray(array, dtype=np.uint8)
+    dtype = np.result_type(
+        np.min_scalar_type(int(array.min())),
+        np.min_scalar_type(int(array.max())),
+    )
+    return np.asarray(array, dtype=dtype)
 
 
 def save_artifact(
@@ -351,11 +380,16 @@ def save_artifact(
     path :
         Target path.
     layout : str, optional
-        ``"npz"`` — one compressed archive (endpoint arrays, both CSR
-        blocks, φ, and a JSON header with the format tag, version,
-        algorithm, both content hashes and the free-form ``meta`` dict);
-        ``"dir"`` — a directory of raw ``.npy`` files plus ``header.json``,
-        reopenable with ``mmap_mode="r"`` in O(1) resident memory;
+        ``"npz"`` — one compressed archive, format version 2: a JSON
+        header (format tag, version, algorithm, layer sizes, both content
+        hashes, the free-form ``meta`` dict) plus ``edge_upper``,
+        ``edge_lower`` and ``phi``, each at the narrowest unsigned dtype
+        that holds its maximum; the CSR blocks are not stored, the loader
+        derives them;
+        ``"dir"`` — format version 1: a directory of raw ``int64``
+        ``.npy`` files (endpoints, both CSR blocks, φ) plus
+        ``header.json``, reopenable with ``mmap_mode="r"`` in O(1)
+        resident memory;
         ``"auto"`` (default) — ``"npz"`` when ``path`` ends in ``.npz``,
         ``"dir"`` otherwise.
     """
@@ -363,89 +397,119 @@ def save_artifact(
         layout = "npz" if str(path).endswith(".npz") else "dir"
     if layout not in ("npz", "dir"):
         raise ValueError(f"unknown artifact layout {layout!r}")
-    header = _build_header(artifact)
-    arrays = _array_map(artifact)
+    graph = artifact.graph
     if layout == "npz":
+        arrays = {
+            "edge_upper": graph.edge_upper,
+            "edge_lower": graph.edge_lower,
+            "phi": artifact.phi,
+        }
+        header = json.dumps(_build_header(artifact, ARTIFACT_VERSION))
         with open(path, "wb") as handle:
             np.savez_compressed(
                 handle,
-                header=np.frombuffer(
-                    json.dumps(header).encode("utf-8"), dtype=np.uint8
-                ),
-                **arrays,
+                header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
+                # Empty stand-ins for the v1 CSR members: a v1 reader
+                # checks that every member exists before it reads the
+                # version, and would otherwise report missing members
+                # instead of an unsupported version.
+                **{key: np.empty(0, dtype=np.uint8) for key in _CSR_KEYS},
+                **{key: _narrowest(a) for key, a in arrays.items()},
             )
         return
     os.makedirs(path, exist_ok=True)
+    header = _build_header(artifact, DIR_ARTIFACT_VERSION)
     with open(os.path.join(path, "header.json"), "w", encoding="utf-8") as fh:
         json.dump(header, fh, indent=2)
-    for key, array in arrays.items():
+    arrays = (
+        (graph.edge_upper, graph.edge_lower)
+        + graph.csr_upper()
+        + graph.csr_lower()
+        + (artifact.phi,)
+    )
+    for key, array in zip(_MEMBERS[DIR_ARTIFACT_VERSION], arrays):
         np.save(os.path.join(path, f"{key}.npy"), array)
 
 
-_REQUIRED_KEYS = (
-    "header",
-    "edge_upper",
-    "edge_lower",
-    "up_indptr",
-    "up_indices",
-    "up_edge_ids",
-    "lo_indptr",
-    "lo_indices",
-    "lo_edge_ids",
-    "phi",
-)
+def _parse_header(path, raw: bytes) -> Dict[str, object]:
+    """Decode a header; refuse a foreign format or an unknown version."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactError(f"{path}: corrupt artifact header") from exc
+    if not isinstance(header, dict) or header.get("format") != ARTIFACT_FORMAT:
+        raise ArtifactError(f"{path}: not a decomposition artifact")
+    sizes = (header.get("num_upper"), header.get("num_lower"))
+    if not all(isinstance(size, int) for size in sizes):
+        raise ArtifactError(f"{path}: corrupt artifact header (layer sizes)")
+    if header.get("version") not in tuple(_MEMBERS):  # no hashing of junk
+        raise ArtifactError(
+            f"{path}: unsupported artifact version {header.get('version')!r}"
+        )
+    return header
 
-_ARRAY_KEYS = _REQUIRED_KEYS[1:]
+
+def _missing(path, missing) -> ArtifactIntegrityError:
+    return ArtifactIntegrityError(
+        f"{path}: artifact is missing members {missing}"
+    )
 
 
-def _read_npz(path) -> Dict[str, np.ndarray]:
+def _read_npz(path):
     try:
         with np.load(path) as archive:
-            missing = [k for k in _REQUIRED_KEYS if k not in archive.files]
-            if missing:
+            if "header" not in archive.files:
                 raise ArtifactError(
-                    f"{path}: not a decomposition artifact (missing {missing})"
+                    f"{path}: not a decomposition artifact (missing ['header'])"
                 )
-            return {k: archive[k] for k in _REQUIRED_KEYS}
+            header = _parse_header(path, archive["header"].tobytes())
+            keys = _MEMBERS[header["version"]]
+            missing = [k for k in keys if k not in archive.files]
+            if missing:
+                raise _missing(path, missing)
+            return header, {k: archive[k] for k in keys}
     except (OSError, ValueError) as exc:
         if isinstance(exc, ArtifactError):
             raise
         raise ArtifactError(f"{path}: cannot read artifact ({exc})") from exc
 
 
-def _read_dir(path, mmap_mode: Optional[str]) -> Dict[str, np.ndarray]:
+def _read_dir(path, mmap_mode: Optional[str]):
     header_path = os.path.join(path, "header.json")
     if not os.path.exists(header_path):
         raise ArtifactError(
             f"{path}: not a decomposition artifact (missing header.json)"
         )
     try:
-        with open(header_path, "r", encoding="utf-8") as fh:
-            header_bytes = fh.read().encode("utf-8")
+        with open(header_path, "rb") as fh:
+            header = _parse_header(path, fh.read())
     except OSError as exc:
         raise ArtifactError(f"{path}: cannot read artifact ({exc})") from exc
-    data: Dict[str, np.ndarray] = {
-        "header": np.frombuffer(header_bytes, dtype=np.uint8)
-    }
-    for key in _ARRAY_KEYS:
+    data: Dict[str, np.ndarray] = {}
+    for key in _MEMBERS[header["version"]]:
         member = os.path.join(path, f"{key}.npy")
         if not os.path.exists(member):
-            raise ArtifactError(
-                f"{path}: not a decomposition artifact (missing [{key!r}])"
-            )
+            raise _missing(path, [key])
         try:
             data[key] = np.load(member, mmap_mode=mmap_mode)
         except (OSError, ValueError) as exc:
             raise ArtifactError(
                 f"{path}: cannot read artifact ({exc})"
             ) from exc
-    return data
+    return header, data
 
 
 def load_artifact(
     path, *, check: bool = True, mmap_mode: Optional[str] = None
 ) -> DecompositionArtifact:
     """Load an artifact written by :func:`save_artifact`, verifying it.
+
+    A version 1 artifact (either layout) brings its CSR blocks; a
+    version 2 ``.npz`` archive brings only endpoints and φ, which are
+    widened to ``int64`` and the CSR blocks derived from the endpoints
+    with :func:`~repro.graph.bipartite.csr_from_endpoints`.  Either way
+    the graph is installed through
+    :meth:`~repro.graph.bipartite.BipartiteGraph.from_csr`.
 
     Parameters
     ----------
@@ -467,10 +531,12 @@ def load_artifact(
     ArtifactError
         Not an artifact file, or an unsupported version.
     ArtifactIntegrityError
-        Stored hashes disagree with the file's content.
+        A member is missing, the arrays are inconsistent (an endpoint out
+        of range, a duplicate edge, CSR blocks that disagree with the
+        endpoints), or the stored hashes disagree with the content.
     """
     if os.path.isdir(path):
-        data = _read_dir(path, mmap_mode)
+        header, data = _read_dir(path, mmap_mode)
     elif mmap_mode is not None:
         raise ArtifactError(
             f"{path}: .npz archives cannot be memory-mapped; save the "
@@ -478,32 +544,31 @@ def load_artifact(
             "layout='dir')) to use mmap_mode"
         )
     else:
-        data = _read_npz(path)
+        header, data = _read_npz(path)
 
+    num_upper, num_lower = header["num_upper"], header["num_lower"]
     try:
-        header = json.loads(bytes(data["header"].tobytes()).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"{path}: corrupt artifact header") from exc
-    if header.get("format") != ARTIFACT_FORMAT:
-        raise ArtifactError(f"{path}: not a decomposition artifact")
-    if header.get("version") != ARTIFACT_VERSION:
-        raise ArtifactError(
-            f"{path}: unsupported artifact version {header.get('version')!r}"
-        )
-
-    try:
+        if "up_indptr" in data:  # v1 stores the CSR blocks, v2 derives them
+            edge_upper, edge_lower = data["edge_upper"], data["edge_lower"]
+            upper_csr = tuple(data[k] for k in _CSR_KEYS[:3])
+            lower_csr = tuple(data[k] for k in _CSR_KEYS[3:])
+        else:
+            edge_upper = np.asarray(data["edge_upper"], dtype=np.int64)
+            edge_lower = np.asarray(data["edge_lower"], dtype=np.int64)
+            upper_csr = csr_from_endpoints(edge_upper, edge_lower, num_upper)
+            lower_csr = csr_from_endpoints(edge_lower, edge_upper, num_lower)
         graph = BipartiteGraph.from_csr(
-            int(header["num_upper"]),
-            int(header["num_lower"]),
-            data["edge_upper"],
-            data["edge_lower"],
-            (data["up_indptr"], data["up_indices"], data["up_edge_ids"]),
-            (data["lo_indptr"], data["lo_indices"], data["lo_edge_ids"]),
+            num_upper,
+            num_lower,
+            edge_upper,
+            edge_lower,
+            upper_csr,
+            lower_csr,
             check=check,
         )
     except (AssertionError, ValueError, IndexError) as exc:
         raise ArtifactIntegrityError(
-            f"{path}: stored CSR arrays are internally inconsistent ({exc})"
+            f"{path}: stored arrays are internally inconsistent ({exc})"
         ) from exc
     phi = np.ascontiguousarray(data["phi"], dtype=np.int64)
     if len(phi) != graph.num_edges:

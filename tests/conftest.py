@@ -92,3 +92,21 @@ def tree_paths(node: dict, prefix: tuple = ()) -> dict:
         paths[path] = child["count"]
         paths.update(tree_paths(child, path))
     return paths
+
+
+@st.composite
+def messy_edge_lists(draw, max_upper: int = 12, max_lower: int = 9):
+    """Unsorted edge lists **with duplicates** plus their layer sizes."""
+    n_u = draw(st.integers(min_value=1, max_value=max_upper))
+    n_l = draw(st.integers(min_value=1, max_value=max_lower))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=n_u - 1),
+                st.integers(min_value=0, max_value=n_l - 1),
+            ),
+            min_size=0,
+            max_size=70,
+        )
+    )
+    return n_u, n_l, edges

@@ -2,6 +2,7 @@
 
 import json
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,10 +133,19 @@ def test_not_an_artifact(tmp_path):
         load_artifact(text)
 
 
-def _resave_with(path, out, **overrides):
-    """Rewrite an artifact archive with some members replaced."""
+def _archive_header(path):
     with np.load(path) as archive:
-        members = {k: archive[k] for k in archive.files}
+        return json.loads(bytes(archive["header"].tobytes()).decode())
+
+
+def _resave_with(path, out, *, drop=(), **overrides):
+    """Rewrite an artifact archive with some members replaced or dropped.
+
+    Members come back at their stored dtype (a v2 archive narrows the
+    endpoint and φ arrays), so an override may be any integer array.
+    """
+    with np.load(path) as archive:
+        members = {k: archive[k] for k in archive.files if k not in drop}
     members.update(overrides)
     with open(out, "wb") as handle:
         np.savez_compressed(handle, **members)
@@ -157,15 +167,149 @@ def test_tampered_graph_detected(artifact, tmp_path):
     save_artifact(artifact, path)
     bad = tmp_path / "bad.npz"
     with np.load(path) as archive:
-        edge_upper = np.array(archive["edge_upper"])
-        num_upper = len(archive["up_indptr"]) - 1
-    # Move one endpoint to a different (in-range) vertex; the CSR blocks no
-    # longer match the endpoint arrays, so either the structural validation
-    # or the graph hash must catch it.
+        edge_upper = np.array(archive["edge_upper"], dtype=np.int64)
+    num_upper = _archive_header(path)["num_upper"]
+    # Move one endpoint to a different (in-range) vertex; the CSR blocks
+    # derived on load follow it, so either the structural validation (a
+    # duplicate) or the graph hash must catch it.
     edge_upper[0] = (edge_upper[0] + 1) % num_upper
     _resave_with(path, bad, edge_upper=edge_upper)
     with pytest.raises(ArtifactIntegrityError):
         load_artifact(bad)
+
+
+def _absent_pair(graph):
+    """An in-range ``(u, v)`` that is not an edge of ``graph``."""
+    present = set(graph.edges())
+    return next(
+        (u, v)
+        for u in range(graph.num_upper)
+        for v in range(graph.num_lower)
+        if (u, v) not in present
+    )
+
+
+#: Faults planted in a version 2 archive, each with the message the
+#: checked load's :class:`ArtifactIntegrityError` must carry.
+V2_FAULTS = {
+    "duplicate-edge": "duplicate edges",
+    "endpoint-out-of-range": "out of range",
+    "tampered-endpoint": "graph content does not match its stored hash",
+    "tampered-phi": "phi does not match its stored hash",
+    "missing-edge_upper": "missing",
+    "missing-edge_lower": "missing",
+    "missing-phi": "missing",
+}
+
+
+def _v2_overrides(graph, phi, fault):
+    """``_resave_with`` keyword arguments that plant ``fault``."""
+    if fault.startswith("missing-"):
+        return {"drop": (fault[len("missing-"):],)}
+    if fault == "tampered-phi":
+        forged = np.array(phi, dtype=np.int64)
+        forged[0] += 1
+        return {"phi": forged}
+    edge_upper = np.array(graph.edge_upper, dtype=np.int64)
+    edge_lower = np.array(graph.edge_lower, dtype=np.int64)
+    if fault == "duplicate-edge":  # edge 1 becomes a copy of edge 0
+        edge_upper[1], edge_lower[1] = edge_upper[0], edge_lower[0]
+    elif fault == "endpoint-out-of-range":
+        edge_upper[0] = graph.num_upper
+    else:  # edge 0 moves to a pair that is not an edge: only the hash sees it
+        edge_upper[0], edge_lower[0] = _absent_pair(graph)
+    return {"edge_upper": edge_upper, "edge_lower": edge_lower}
+
+
+@pytest.mark.parametrize("fault", sorted(V2_FAULTS))
+def test_v2_archive_faults_detected(artifact, tmp_path, fault):
+    path = tmp_path / "good.npz"
+    save_artifact(artifact, path)
+    assert _archive_header(path)["version"] == 2
+    bad = tmp_path / "bad.npz"
+    _resave_with(path, bad, **_v2_overrides(artifact.graph, artifact.phi, fault))
+    with pytest.raises(ArtifactIntegrityError, match=V2_FAULTS[fault]):
+        load_artifact(bad)
+
+
+def test_v2_archive_members(artifact, tmp_path):
+    path = tmp_path / "figure4.npz"
+    save_artifact(artifact, path)
+    with np.load(path) as archive:
+        members = {k: archive[k] for k in archive.files}
+    for key in ("edge_upper", "edge_lower", "phi"):
+        assert members.pop(key).dtype == np.uint8, key
+    members.pop("header")
+    # The v1 CSR member names stay, empty, so a v1 reader reaches its
+    # version check instead of reporting missing members.
+    assert sorted(members) == sorted(
+        f"{side}_{name}"
+        for side in ("up", "lo")
+        for name in ("indptr", "indices", "edge_ids")
+    )
+    assert all(array.size == 0 for array in members.values())
+
+
+def test_v2_archive_narrows_to_the_largest_value(tmp_path):
+    graph = BipartiteGraph(300, 70_000, [(0, 0), (299, 69_999)])
+    artifact = DecompositionArtifact(graph=graph, phi=[2**40, 0])
+    path = tmp_path / "wide.npz"
+    save_artifact(artifact, path)
+    with np.load(path) as archive:
+        dtypes = {k: archive[k].dtype for k in ("edge_upper", "edge_lower", "phi")}
+    assert dtypes == {
+        "edge_upper": np.uint16,
+        "edge_lower": np.uint32,
+        "phi": np.uint64,
+    }
+    reopened = load_artifact(path)
+    assert reopened.phi.tolist() == [2**40, 0]
+    assert reopened.graph.edge_lower.dtype == np.int64
+
+
+#: Written by the version 1 writer (all nine ``int64`` arrays): the
+#: ``bit-bu-csr`` decomposition of the paper's Figure 4 graph, with
+#: ``meta`` holding only the run's ``updates`` and ``iterations``.
+V1_FIXTURE = Path(__file__).parent / "data" / "figure4_v1.npz"
+
+
+def test_v1_archive_loads_bitwise(figure4):
+    header = _archive_header(V1_FIXTURE)
+    assert header["version"] == 1
+    with np.load(V1_FIXTURE) as archive:
+        assert len(archive["up_indptr"]) == figure4.num_upper + 1
+    loaded = load_artifact(V1_FIXTURE, check=True)
+    fresh = bitruss_decomposition(figure4, algorithm="bit-bu-csr")
+    got = (loaded.graph.edge_upper, loaded.graph.edge_lower)
+    want = (fresh.graph.edge_upper, fresh.graph.edge_lower)
+    got += loaded.graph.csr_upper() + loaded.graph.csr_lower()
+    want += fresh.graph.csr_upper() + fresh.graph.csr_lower()
+    for ours, theirs in zip(got, want):
+        assert ours.dtype == theirs.dtype == np.int64
+        assert np.array_equal(ours, theirs)
+    assert np.array_equal(loaded.phi, fresh.phi)
+    assert loaded.algorithm == fresh.stats.algorithm
+    assert loaded.meta == {
+        "updates": fresh.stats.updates,
+        "iterations": fresh.stats.iterations,
+    }
+
+
+def test_v1_and_v2_archives_share_hashes(tmp_path):
+    v1 = load_artifact(V1_FIXTURE)
+    path = tmp_path / "figure4_v2.npz"
+    save_artifact(v1, path)
+    old, new = _archive_header(V1_FIXTURE), _archive_header(path)
+    assert (old["version"], new["version"]) == (1, 2)
+    assert new["graph_hash"] == old["graph_hash"]
+    assert new["phi_hash"] == old["phi_hash"]
+    v2 = load_artifact(path)
+    assert np.array_equal(v2.phi, v1.phi)
+    for ours, theirs in zip(
+        v2.graph.csr_upper() + v2.graph.csr_lower(),
+        v1.graph.csr_upper() + v1.graph.csr_lower(),
+    ):
+        assert np.array_equal(ours, theirs)
 
 
 #: Structural faults the checked load must catch before any hash: each
@@ -234,20 +378,44 @@ def test_corrupt_header_detected(artifact, tmp_path):
         load_artifact(bad)
 
 
-def test_unsupported_version_rejected(artifact, tmp_path):
+def test_corrupt_dir_header_detected(artifact, tmp_path):
+    path = tmp_path / "bad"
+    save_artifact(artifact, path, layout="dir")
+    (path / "header.json").write_bytes(b"\xff\xfe not json")
+    with pytest.raises(ArtifactError, match="corrupt artifact header"):
+        load_artifact(path)
+
+
+def test_header_without_layer_sizes_rejected(artifact, tmp_path):
     path = tmp_path / "good.npz"
     save_artifact(artifact, path)
-    with np.load(path) as archive:
-        header = json.loads(bytes(archive["header"].tobytes()).decode())
-    header["version"] = 999
+    header = _archive_header(path)
+    del header["num_upper"]
     bad = tmp_path / "bad.npz"
     _resave_with(
         path,
         bad,
         header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
     )
-    with pytest.raises(ArtifactError):
+    with pytest.raises(ArtifactError, match="corrupt artifact header"):
         load_artifact(bad)
+
+
+def test_unsupported_version_rejected(artifact, tmp_path):
+    path = tmp_path / "good.npz"
+    save_artifact(artifact, path)
+    with np.load(path) as archive:
+        header = json.loads(bytes(archive["header"].tobytes()).decode())
+    bad = tmp_path / "bad.npz"
+    for version in (999, [2]):
+        header["version"] = version
+        _resave_with(
+            path,
+            bad,
+            header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+        )
+        with pytest.raises(ArtifactError, match="unsupported artifact version"):
+            load_artifact(bad)
 
 
 def test_archive_is_a_single_npz(artifact, tmp_path):

@@ -758,6 +758,42 @@ class TestServerObservability:
         assert sorted(catalog - scraped) == []
 
 
+    def test_repair_outcomes_are_counted_per_server(self, fig4_artifact):
+        """Two mutable servers in one process: a budget abort and a
+        predicted fallback on one show in its own scrape only."""
+
+        async def scenario():
+            async with make_mutable_server(fig4_artifact) as hit, \
+                    make_mutable_server(build_artifact(
+                        paper_figure4_graph(), algorithm="bit-bu-csr"
+                    )) as quiet:
+                hit.updates.rebuild_threshold = 0.15
+                assert await post_edges(hit.port, "insert", 1, 4) == "scheduled"
+                await hit.updates.wait_idle()
+                assert await post_edges(hit.port, "delete", 0, 0) == "scheduled"
+                await hit.updates.wait_idle()
+                scrapes = []
+                for server in (hit, quiet):
+                    _, _, body = await raw_http(
+                        server.port, "GET", "/metrics?format=prometheus"
+                    )
+                    scrapes.append(parse_prometheus(body.decode()))
+                return scrapes
+
+        hit, quiet = run(scenario())
+        aborts = 'repro_incremental_budget_aborts_total{dataset="fig4"}'
+        predicted = 'repro_updates_predicted_fallbacks_total{dataset="fig4"}'
+        assert hit[aborts] == 1 and hit[predicted] == 1
+        assert hit['repro_incremental_predictor_misses_total{dataset="fig4"}'] == 1
+        for family in (
+            "repro_incremental_budget_aborts_total",
+            "repro_incremental_predictor_hits_total",
+            "repro_incremental_predictor_misses_total",
+            "repro_updates_predicted_fallbacks_total",
+        ):
+            assert family_sum(quiet, family) == 0, family
+
+
 SERVER_GOLDEN = Path(__file__).parent / "data" / "server_exposition_golden.txt"
 DOCS = Path(__file__).parents[1] / "docs" / "observability.md"
 

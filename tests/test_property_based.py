@@ -2,7 +2,6 @@
 
 import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.butterfly.counting import count_per_edge
 from repro.graph.bipartite import BipartiteGraph
@@ -16,7 +15,7 @@ from repro.core import (
     k_bitruss_direct,
     reference_decomposition,
 )
-from tests.conftest import assert_phi_equal, bipartite_graphs
+from tests.conftest import assert_phi_equal, bipartite_graphs, messy_edge_lists
 
 
 @settings(max_examples=50, deadline=None)
@@ -75,24 +74,6 @@ def test_decomposition_is_permutation_invariant_of_algorithm_state(graph):
     first = bit_bu_plus_plus(graph).phi
     second = bit_bu_plus_plus(graph).phi
     assert_phi_equal(first, second, "repeatability")
-
-
-@st.composite
-def messy_edge_lists(draw, max_upper: int = 12, max_lower: int = 9):
-    """Unsorted edge lists **with duplicates** plus their layer sizes."""
-    n_u = draw(st.integers(min_value=1, max_value=max_upper))
-    n_l = draw(st.integers(min_value=1, max_value=max_lower))
-    edges = draw(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=n_u - 1),
-                st.integers(min_value=0, max_value=n_l - 1),
-            ),
-            min_size=0,
-            max_size=70,
-        )
-    )
-    return n_u, n_l, edges
 
 
 @settings(max_examples=60, deadline=None)
